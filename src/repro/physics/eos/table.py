@@ -144,7 +144,7 @@ class ElectronTable:
 
     def evaluate(self, rho_ye, temp) -> dict[str, np.ndarray]:
         """Interpolate P_e, u_e (per volume), s_e, eta and the log-log
-        derivatives of P and u at (rho*Ye, T)."""
+        derivatives of P (in rho*Ye and T) and of u (in T) at (rho*Ye, T)."""
         rho_ye = np.asarray(rho_ye, dtype=np.float64)
         temp = np.asarray(temp, dtype=np.float64)
         lr = np.clip(np.log10(rho_ye), self.lg_rhoye[0], self.lg_rhoye[-1])
@@ -161,7 +161,6 @@ class ElectronTable:
             # chi's with respect to (rho*Ye) and T
             "dlnp_dlnr": self._sp_p.ev(lr, lt, dx=1),
             "dlnp_dlnt": self._sp_p.ev(lr, lt, dy=1),
-            "dlnu_dlnr": self._sp_u.ev(lr, lt, dx=1),
             "dlnu_dlnt": self._sp_u.ev(lr, lt, dy=1),
         }
 

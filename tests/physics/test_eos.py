@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.constants import AVOGADRO, BOLTZMANN, C_LIGHT
-from repro.util.errors import PhysicsError
+from repro.util.errors import ConvergenceError, PhysicsError
 from repro.physics.eos import (
     CO_WD,
     HYBRID_CONE_WD,
@@ -14,13 +14,18 @@ from repro.physics.eos import (
     GammaLawEOS,
     HelmholtzEOS,
 )
+from repro.physics.eos.apply import composition_from_species
 from repro.physics.eos.coulomb import coulomb_corrections, coupling_gamma
 from repro.physics.eos.electron import (
     cold_degenerate_pressure,
     electron_state,
     solve_eta,
 )
-from repro.physics.eos.invert import invert_dens_eint, invert_dens_pres
+from repro.physics.eos.invert import (
+    _newton_bisect,
+    invert_dens_eint,
+    invert_dens_pres,
+)
 from repro.physics.eos.ion import ion_energy, ion_pressure
 
 
@@ -202,6 +207,216 @@ class TestInversion:
         r1 = eos.eos_de(1e8, r0.eint, CO_WD.abar, CO_WD.zbar)
         assert r1.temp[0] == pytest.approx(3e8, rel=1e-6)
         assert r1.pres[0] == pytest.approx(r0.pres[0], rel=1e-6)
+
+
+# --- reference inversion: whole-array passes with an ``active`` mask ---
+# The shipped solver evaluates only the zones still moving; these copies
+# evaluate every zone on every pass and must give the same bits.
+
+
+def _oracle_newton_bisect(f, lo, hi, max_iter, rtol):
+    t = np.sqrt(lo * hi)  # geometric-mean start
+    iters = np.zeros(t.shape, dtype=np.int64)
+    active = np.ones(t.shape, dtype=bool)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        resid, dresid = f(t)
+        # maintain bracket
+        neg = resid < 0.0
+        lo = np.where(active & neg, t, lo)
+        hi = np.where(active & ~neg, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dresid != 0.0, -resid / dresid, 0.0)
+        t_new = t + step
+        # zones whose Newton step escapes the bracket bisect instead
+        escaped = (t_new <= lo) | (t_new >= hi) | ~np.isfinite(t_new)
+        t_new = np.where(escaped, 0.5 * (lo + hi), t_new)
+        moved = np.abs(t_new - t) > rtol * t
+        t = np.where(active, t_new, t)
+        iters += active
+        active = active & moved
+    if active.any():
+        raise ConvergenceError(
+            f"EOS inversion: {int(active.sum())} zones failed to converge"
+        )
+    return t, iters
+
+
+def _oracle_dens_eint(eos, dens, eint, abar, zbar, temp_guess=None,
+                      max_iter=60, rtol=1.0e-8):
+    dens = np.atleast_1d(np.asarray(dens, dtype=np.float64))
+    eint = np.broadcast_to(np.asarray(eint, dtype=np.float64), dens.shape)
+    lo = np.full(dens.shape, eos.temp_min)
+    hi = np.full(dens.shape, eos.temp_max)
+    if temp_guess is not None:
+        guess = np.clip(np.asarray(temp_guess, dtype=np.float64),
+                        eos.temp_min, eos.temp_max)
+        lo = np.maximum(lo, guess / 100.0)
+        hi = np.minimum(hi, guess * 100.0)
+    energy_of = eos.eint_cv
+
+    def f(t):
+        e, cv = energy_of(dens, t, abar, zbar)
+        return e - eint, cv
+
+    r_lo = energy_of(dens, lo, abar, zbar)[0] - eint
+    r_hi = energy_of(dens, hi, abar, zbar)[0] - eint
+    lo = np.where(r_lo > 0.0, np.full_like(lo, eos.temp_min), lo)
+    hi = np.where(r_hi < 0.0, np.full_like(hi, eos.temp_max), hi)
+    r_lo2 = energy_of(dens, lo, abar, zbar)[0] - eint
+    clamped_low = r_lo2 >= 0.0
+    r_hi2 = energy_of(dens, hi, abar, zbar)[0] - eint
+    clamped_high = r_hi2 <= 0.0
+
+    temp, iters = _oracle_newton_bisect(f, lo, hi, max_iter, rtol)
+    temp = np.where(clamped_low, eos.temp_min, temp)
+    temp = np.where(clamped_high, eos.temp_max, temp)
+    return temp, iters
+
+
+def _oracle_dens_pres(eos, dens, pres, abar, zbar, max_iter=60,
+                      rtol=1.0e-8):
+    dens = np.atleast_1d(np.asarray(dens, dtype=np.float64))
+    pres = np.broadcast_to(np.asarray(pres, dtype=np.float64), dens.shape)
+    lo = np.full(dens.shape, eos.temp_min)
+    hi = np.full(dens.shape, eos.temp_max)
+
+    def f(t):
+        r = eos.eos_dt(dens, t, abar, zbar)
+        dpdt = r.dpt if r.dpt is not None else r.pres / t
+        return r.pres - pres, dpdt
+
+    r_lo = eos.eos_dt(dens, lo, abar, zbar).pres - pres
+    clamped_low = r_lo >= 0.0
+    temp, iters = _oracle_newton_bisect(f, lo, hi, max_iter, rtol)
+    temp = np.where(clamped_low, eos.temp_min, temp)
+    return temp, iters
+
+
+def _same_outcome(run, oracle):
+    """Both raise the same ConvergenceError, or give identical bits."""
+    try:
+        expected = oracle()
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError, match=str(exc)):
+            run()
+        return
+    temp, iters = run()
+    np.testing.assert_array_equal(temp, expected[0])
+    np.testing.assert_array_equal(iters, expected[1])
+
+
+#: one zone: log10 rho, log10 T, ash fraction, where its target lies
+#: (inside the table, below the floor or above the ceiling) and log10 of
+#: its guess over the true T (beyond +-2 the guess bracket is reset)
+_ZONE = st.tuples(st.floats(2.0, 9.5), st.floats(5.0, 10.2),
+                  st.floats(0.0, 1.0),
+                  st.sampled_from(("inside", "cold", "hot")),
+                  st.floats(-3.0, 3.0))
+_EDGES = [(9.0, 7.0, 0.0, "cold", 0.0), (3.0, 9.0, 1.0, "hot", 0.5),
+          (7.0, 8.0, 0.3, "inside", 2.7), (5.0, 7.0, 0.8, "inside", -2.9),
+          (8.0, 9.3, 0.5, "inside", 0.01)]
+
+
+def _targets(eos, zones, field):
+    """(dens, target, abar, zbar, true T) for a list of ``_ZONE``s."""
+    lg_dens, lg_temp, phi, kind, _ = (np.array(c) for c in zip(*zones))
+    dens, temp = 10.0**lg_dens, 10.0**lg_temp
+    abar, zbar = composition_from_species(None, {"fl01": phi}, CO_WD,
+                                          NSE_ASH)
+    target = getattr(eos.eos_dt(dens, temp, abar, zbar), field)
+    floor = getattr(eos.eos_dt(dens, eos.temp_min, abar, zbar), field)
+    ceiling = getattr(eos.eos_dt(dens, eos.temp_max, abar, zbar), field)
+    target = np.where(kind == "cold", floor - 1e-3 * np.abs(floor), target)
+    target = np.where(kind == "hot", ceiling + 1e-3 * np.abs(ceiling),
+                      target)
+    return dens, target, abar, zbar, temp
+
+
+class TestInversionMatchesWholeArrayPasses:
+    @given(zones=st.lists(_ZONE, min_size=1, max_size=16),
+           use_guess=st.booleans())
+    @example(zones=_EDGES, use_guess=True)
+    @example(zones=_EDGES, use_guess=False)
+    @settings(max_examples=60, deadline=None)
+    def test_dens_eint_bit_identical(self, eos, zones, use_guess):
+        dens, eint, abar, zbar, temp = _targets(eos, zones, "eint")
+        guess = None
+        if use_guess:
+            guess = temp * 10.0**np.array([z[4] for z in zones])
+        _same_outcome(
+            lambda: invert_dens_eint(eos, dens, eint, abar, zbar,
+                                     temp_guess=guess),
+            lambda: _oracle_dens_eint(eos, dens, eint, abar, zbar,
+                                      temp_guess=guess))
+
+    @given(zones=st.lists(_ZONE, min_size=1, max_size=16))
+    @example(zones=_EDGES)
+    @settings(max_examples=40, deadline=None)
+    def test_dens_pres_bit_identical(self, eos, zones):
+        dens, pres, abar, zbar, _ = _targets(eos, zones, "pres")
+        _same_outcome(
+            lambda: invert_dens_pres(eos, dens, pres, abar, zbar),
+            lambda: _oracle_dens_pres(eos, dens, pres, abar, zbar))
+
+    def test_edge_zones_are_clamped_and_reset(self, eos):
+        """The fixed edge example really reaches each special path."""
+        dens, eint, abar, zbar, temp = _targets(eos, _EDGES, "eint")
+        guess = temp * 10.0**np.array([z[4] for z in _EDGES])
+        t, _ = invert_dens_eint(eos, dens, eint, abar, zbar,
+                                temp_guess=guess)
+        assert t[0] == eos.temp_min and t[1] == eos.temp_max
+        # guesses 10^2.7 too hot and 10^-2.9 too cold: the bound the
+        # guess set is reset to the table edge and the root still found
+        np.testing.assert_allclose(t[2:], temp[2:], rtol=1e-6)
+
+    def test_max_iter_too_small_reports_unconverged_zones(self, eos):
+        dens = np.logspace(4, 8, 7)
+        r = eos.eos_dt(dens, 3e8, CO_WD.abar, CO_WD.zbar)
+        with pytest.raises(ConvergenceError,
+                           match="EOS inversion: 7 zones failed"):
+            invert_dens_eint(eos, dens, r.eint, CO_WD.abar, CO_WD.zbar,
+                             max_iter=1)
+        with pytest.raises(ConvergenceError,
+                           match="EOS inversion: 7 zones failed"):
+            invert_dens_pres(eos, dens, r.pres, CO_WD.abar, CO_WD.zbar,
+                             max_iter=1)
+
+    def test_scalar_composition(self, eos):
+        dens = np.logspace(3, 9, 12)
+        temp = np.logspace(7, 9.5, 12)
+        r = eos.eos_dt(dens, temp, NSE_ASH.abar, NSE_ASH.zbar)
+        args = (eos, dens, r.eint, NSE_ASH.abar, NSE_ASH.zbar)
+        _same_outcome(lambda: invert_dens_eint(*args, temp_guess=temp),
+                      lambda: _oracle_dens_eint(*args, temp_guess=temp))
+        args = (eos, dens, r.pres, NSE_ASH.abar, NSE_ASH.zbar)
+        _same_outcome(lambda: invert_dens_pres(*args),
+                      lambda: _oracle_dens_pres(*args))
+        t, _ = invert_dens_eint(eos, dens, r.eint, NSE_ASH.abar,
+                                NSE_ASH.zbar)
+        np.testing.assert_allclose(t, temp, rtol=1e-6)
+
+    def test_zone_shape_is_kept(self, eos):
+        dens, eint, abar, zbar, temp = _targets(eos, _EDGES * 2, "eint")
+        flat = invert_dens_eint(eos, dens, eint, abar, zbar, temp_guess=temp)
+        grid = invert_dens_eint(eos, dens.reshape(2, 5), eint.reshape(2, 5),
+                                abar.reshape(2, 5), zbar.reshape(2, 5),
+                                temp_guess=temp.reshape(2, 5))
+        for got, want in zip(grid, flat):
+            assert got.shape == (2, 5)
+            np.testing.assert_array_equal(got.ravel(), want)
+
+    def test_no_active_zones_returns_at_once(self, eos):
+        def never(t, idx):
+            raise AssertionError("residual evaluated with no active zone")
+
+        empty = np.empty(0)
+        t, iters = _newton_bisect(never, empty, empty, 60, 1e-8)
+        assert t.shape == iters.shape == (0,)
+        t, iters = invert_dens_eint(eos, empty, empty, CO_WD.abar,
+                                    CO_WD.zbar)
+        assert t.shape == iters.shape == (0,)
 
 
 class TestGammaLaw:
