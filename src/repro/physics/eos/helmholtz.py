@@ -126,20 +126,15 @@ class HelmholtzEOS:
         """Fast path for the Newton inversion: (eint, cv) only.
 
         Evaluates just the electron energy spline and its T-derivative
-        instead of the full thermodynamic set — the inner loop of the
-        paper's hottest routine.
+        (:meth:`ElectronTable.log_energy`) instead of the full
+        thermodynamic set — the inner loop of the paper's hottest routine.
         """
         dens = np.atleast_1d(np.asarray(dens, dtype=np.float64))
         temp = np.broadcast_to(np.asarray(temp, dtype=np.float64), dens.shape)
         ye = zbar / abar
         rho_ye = dens * ye
-        lr = np.clip(np.log10(rho_ye), self.table.lg_rhoye[0],
-                     self.table.lg_rhoye[-1])
-        lt = np.clip(np.log10(temp), self.table.lg_temp[0],
-                     self.table.lg_temp[-1])
-        lg_u = self.table._sp_u.ev(lr, lt)
+        lg_u, dlnu_dlnt = self.table.log_energy(rho_ye, temp)
         u_ele = 10.0**lg_u
-        dlnu_dlnt = self.table._sp_u.ev(lr, lt, dy=1)
         e_ele = u_ele / dens
         e_ion = ion_energy(dens, temp, abar)
         e_rad = RADIATION_A * temp**4 / dens

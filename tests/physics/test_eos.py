@@ -165,8 +165,21 @@ class TestHelmholtz:
         temp = np.full(16, 3e8)
         full = eos.eos_dt(dens, temp, CO_WD.abar, CO_WD.zbar)
         e, cv = eos.eint_cv(dens, temp, CO_WD.abar, CO_WD.zbar)
-        np.testing.assert_allclose(e, full.eint, rtol=1e-12)
-        np.testing.assert_allclose(cv, full.cv, rtol=1e-12)
+        # both paths share the table's evaluator, so they agree exactly
+        np.testing.assert_array_equal(e, full.eint)
+        np.testing.assert_array_equal(cv, full.cv)
+
+    def test_table_output_shapes_follow_input(self, eos):
+        scalar = eos.table.evaluate(1e6, 1e8)
+        assert all(np.shape(v) == () for v in scalar.values())
+        for shape in [(5,), (3, 4)]:
+            rho_ye = np.full(shape, 1e6)
+            out = eos.table.evaluate(rho_ye, 1e8)
+            assert all(v.shape == shape for v in out.values())
+            assert all(v.shape == shape
+                       for v in eos.table.log_energy(rho_ye, 1e8))
+        lg_u, dlnu_dlnt = eos.table.log_energy(1e6, 1e8)
+        assert lg_u.shape == dlnu_dlnt.shape == ()
 
 
 class TestInversion:
