@@ -114,7 +114,7 @@ class RunReport:
     #: rendered StepFailure when the retry budget was exhausted
     failure: str | None = None
     #: counted graceful degradations (hugetlb base-page fallbacks,
-    #: perf-engine fallbacks, ...), kind -> count
+    #: ...), kind -> count
     degradations: dict[str, int] = field(default_factory=dict)
     #: rank threads killed and respawned by the fabric's recovery loop
     rank_restarts: int = 0

@@ -1,12 +1,14 @@
 """Process-pool execution of independent replay work units.
 
-A :class:`~repro.perfmodel.session.ReplaySession` batch decomposes into
-*work units* that are pure functions of their inputs: one unit per
-distinct content-keyed stream bundle (a whole invocation sequence
-sharing one TLB) and one per distinct fine trace (each replays through
-an independent TLB stream).  Units never share simulator state, so they
-can run on any schedule — including other processes — without changing
-a single counter.  :class:`ReplayExecutor` schedules them:
+A :class:`~repro.perfmodel.session.ReplaySession` batch — a single
+replay and a geometry sweep are one-request batches — decomposes into
+*work units* that are pure functions of their inputs.  A unit is one
+trace bundle's stream sequence (a whole invocation sequence sharing one
+TLB), or one set of its fine traces (each replaying through an
+independent TLB stream), under every TLB geometry that misses it.
+Units never share simulator state, so they can run on any schedule —
+including other processes — without changing a single counter.
+:class:`ReplayExecutor` schedules them:
 
 * ``jobs <= 1`` (the default) runs every unit inline, in order — the
   serial reference.  Parallel runs are bit-identical *by construction*:
@@ -20,15 +22,18 @@ ProcessPoolExecutor` (fork start method where available: workers
   replay errors re-raise from the inline retry exactly as serial
   execution would have raised them.
 
-Replay units carry their traces either by value (a list of
-:class:`~repro.hw.trace.PageTrace`, pickled over the pipe) or by
-reference (a :class:`~repro.perfmodel.tracestore.TraceRef` naming
-sections of a persistent trace bundle, which the worker maps read-only
-straight from the store).  The executor meters both on
-``traces_pickled_bytes`` / ``traces_mapped_bytes`` so the bench can
-gate that the zero-copy handoff actually engaged.  A third unit kind,
-``"synth"``, runs trace synthesis itself on a worker and persists the
-bundle — the requester maps the result instead of building it.
+A replay unit names its traces as sections of one trace bundle.  In
+the requester (``jobs <= 1``, a single unit, or the inline retry) the
+unit replays the bundle's traces as already mapped — and checksum-
+verified once — by the session.  Only pool dispatch chooses a
+transport: a store-backed bundle travels by reference (a
+:class:`~repro.perfmodel.tracestore.TraceRef` naming the sections, which
+the worker maps read-only straight from the store), an in-memory one by
+value (the traces pickled over the pipe).  The executor meters both on
+``traces_mapped_bytes`` / ``traces_pickled_bytes`` so the bench can gate
+that the zero-copy handoff engaged.  A third unit kind, ``"synth"``,
+runs trace synthesis itself on a worker and persists the bundle — the
+requester maps the result instead of building it.
 
 Job-count selection mirrors the engine precedence
 (:func:`repro.perfmodel.pipeline.resolve_engine`): explicit argument,
@@ -45,10 +50,14 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.core import load_all, parameter_registry
+from repro.perfmodel.tracestore import TraceRef
 from repro.util.errors import ConfigurationError
 
 #: a work unit — one of:
-#:   ("stream" | "fine", engine, geometry, [PageTrace, ...] | TraceRef)
+#:   ("stream" | "fine", engine, geometries, (bundle, sections))
+#:       one bundle's traces under every geometry that misses them; pool
+#:       dispatch swaps the (bundle, sections) pair for a TraceRef
+#:       (store-backed bundle) or the list of traces (in-memory bundle)
 #:   ("synth", trace_key, task, store_root, thp)
 WorkUnit = tuple
 
@@ -97,12 +106,11 @@ def _run_unit(unit: WorkUnit) -> list:
     """Execute one work unit (also the process-pool entry point).
 
     Imports locally so a forked worker resolves the session lazily; the
-    kernels themselves are the session's static methods, guaranteeing
-    the parallel path cannot drift from the serial one.  A ``"synth"``
-    unit synthesizes and persists a trace bundle (returning nothing —
-    the requester maps the store entry); replay units resolve a
-    :class:`~repro.perfmodel.tracestore.TraceRef` payload by mapping the
-    bundle read-only before running the kernel.
+    kernel itself is the session's static method, guaranteeing the
+    parallel path cannot drift from the serial one.  A ``"synth"`` unit
+    synthesizes and persists a trace bundle (returning nothing — the
+    requester maps the store entry); a replay unit returns one row of
+    per-trace stats per geometry.
     """
     from repro.perfmodel.session import ReplaySession
     kind = unit[0]
@@ -112,13 +120,33 @@ def _run_unit(unit: WorkUnit) -> list:
         stream, fine = task()
         TraceStore(Path(root), thp=thp).save_bundle(key, stream, fine)
         return []
-    kind, engine, geometry, payload = unit
-    traces = payload if isinstance(payload, list) else payload.resolve()
-    if kind == "stream":
-        return ReplaySession._replay_stream(engine, geometry, traces)
-    if kind == "fine":
-        return ReplaySession._replay_fine(engine, geometry, traces)
-    raise ConfigurationError(f"unknown replay work unit kind {kind!r}")
+    if kind not in ("stream", "fine"):
+        raise ConfigurationError(f"unknown replay work unit kind {kind!r}")
+    _, engine, geometries, payload = unit
+    if isinstance(payload, TraceRef):
+        traces = payload.resolve()
+    elif isinstance(payload, list):
+        traces = payload
+    else:
+        bundle, sections = payload
+        mapped = bundle.traces
+        traces = [mapped[i] for i in sections]
+    return ReplaySession._replay_kernel(kind, engine, geometries, traces)
+
+
+def _for_pool(unit: WorkUnit) -> WorkUnit:
+    """The form of ``unit`` that crosses the process boundary: a
+    store-backed bundle by reference, an in-memory one by value."""
+    if unit[0] not in ("stream", "fine"):
+        return unit
+    kind, engine, geometries, (bundle, sections) = unit
+    mapped = bundle.traces
+    traces = [mapped[i] for i in sections]
+    if bundle.key and bundle.root is not None:
+        return (kind, engine, geometries, TraceRef(
+            root=str(bundle.root), key=bundle.key, sections=sections,
+            nbytes=sum(t.nbytes for t in traces), thp=bundle.thp))
+    return (kind, engine, geometries, traces)
 
 
 class ReplayExecutor:
@@ -175,7 +203,8 @@ class ReplayExecutor:
             return [_run_unit(u) for u in units]
         try:
             pool = self._ensure_pool()
-            outputs = list(pool.map(_run_unit, units))
+            shipped = [_for_pool(u) for u in units]
+            outputs = list(pool.map(_run_unit, shipped))
         except Exception:
             # pool-level damage (broken worker, pickling trouble) must
             # not lose the measurement: retry inline.  A genuine replay
@@ -183,7 +212,7 @@ class ReplayExecutor:
             self.fallbacks += 1
             self.close()
             return [_run_unit(u) for u in units]
-        self._account_ipc(units)
+        self._account_ipc(shipped)
         return outputs
 
     def _account_ipc(self, units: Sequence[WorkUnit]) -> None:

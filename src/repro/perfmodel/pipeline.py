@@ -36,6 +36,7 @@ from repro.perfmodel.fastpath import FastTraceBuilder
 from repro.perfmodel.patterns import TraceBuilder
 from repro.perfmodel.session import (
     TRACE_SCHEMA,
+    ReplayRequest,
     ReplaySession,
     default_session,
     geometry_digest,
@@ -167,12 +168,11 @@ class PerfReport:
     machine: MachineSpec
     compiler: str
     n_steps: int
-    #: replay engine that actually produced the totals ("" for reports
-    #: built by legacy callers) — differs from the requested engine when
-    #: the pipeline degraded to the scalar oracle
+    #: replay engine that produced the totals ("" for reports built by
+    #: legacy callers)
     engine: str = ""
     #: kernel degradation counts at report time (hugetlb base-page
-    #: fallbacks, perf-engine fallbacks, ...), kind -> count
+    #: fallbacks, ...), kind -> count
     degradations: dict[str, int] = field(default_factory=dict)
 
     @cached_property
@@ -226,7 +226,6 @@ class PerformancePipeline:
         seed: int = 1234,
         engine: str | None = None,
         params=None,
-        fault_injector=None,
         session: ReplaySession | None = None,
         rank_signature: str = "",
     ) -> None:
@@ -246,10 +245,6 @@ class PerformancePipeline:
         self.fine_sample_blocks = fine_sample_blocks
         self.seed = seed
         self.engine = resolve_engine(engine, params=params)
-        #: test/chaos seam: ``fault_injector(engine_name)`` is called once
-        #: per engine attempt; raising from it aborts that attempt exactly
-        #: like an internal replay failure would
-        self.fault_injector = fault_injector
         #: replay sharing/caching layer; every unparameterised pipeline
         #: joins the process-wide default session
         self.session = session if session is not None else default_session()
@@ -315,57 +310,26 @@ class PerformancePipeline:
 
     # --- the run ---------------------------------------------------------------------------
     def run(self) -> PerfReport:
-        """Replay with the resolved engine, degrading gracefully.
+        """Launch, replay through the session, and price the answer.
 
-        A failure inside the fast replay engine (an internal consistency
-        check, a kernel divergence, an injected fault) does not kill the
-        measurement: the first attempt's process is torn down, the
-        degradation is counted on the kernel, and the run repeats with
-        the scalar oracle — the auditable reference the fast engine is
-        property-tested against.  A scalar failure propagates.
+        The launched process exits whatever happens; a replay error
+        propagates — both engines are deterministic, so an exception is
+        a bug to see, not a run to repeat on the scalar oracle.
         """
+        ctx = self._launch_and_allocate()
         try:
-            return self._run_with_engine(self.engine)
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — any replay failure degrades
-            if self.engine == "scalar":
-                raise
-            self.kernel.degradations.record(
-                "perf_engine_scalar_fallback",
-                f"{self.engine!r} engine failed: {type(exc).__name__}: {exc}")
-            return self._run_with_engine("scalar")
-
-    def _run_with_engine(self, engine: str) -> PerfReport:
-        proc, layout, unk, scratch, eos_table, flame_table, flux_scratch = \
-            self._launch_and_allocate()
-        try:
-            return self._replay(engine, proc, layout, unk, scratch,
-                                eos_table, flame_table, flux_scratch)
+            request = self._request(ctx, [self.machine])
+            (config_key, geometry), = request.pairs
+            replay = self.session.replay(config_key=config_key,
+                                         geometry=geometry,
+                                         engine=self.engine,
+                                         synthesize=request.synthesize,
+                                         trace_key=request.trace_key)
+            return self._finish(self.machine, ctx[0], replay)
         finally:
-            # release the process either way: a failed fast attempt must
-            # not leave its allocations (or hugetlb reservations) charged
-            # against the scalar re-run
-            proc.exit()
+            ctx[0].exit()
 
-    def _synthesize_closure(self, engine, proc, layout, unk, scratch,
-                            eos_table, flame_table, flux_scratch):
-        """The trace-synthesis task one replay request carries.
-
-        A picklable :class:`SynthesisTask` (stream pass per invocation,
-        fine passes for the fine-granularity units), so the session may
-        run it on a pool worker and persist the bundle in the trace
-        store instead of synthesizing serially in the requester."""
-        return SynthesisTask(
-            engine=engine, space=proc.space, layout=layout, unk=unk,
-            scratch=scratch, eos_table=eos_table, flame_table=flame_table,
-            flux_scratch=flux_scratch, log=self.log,
-            replication=self.replication,
-            fine_sample_blocks=self.fine_sample_blocks, seed=self.seed,
-            fine_kinds=tuple(sorted(self._fine_kinds)),
-        )
-
-    def _config_key(self, engine, machine, proc, allocations) -> str:
+    def _config_key(self, machine, proc, allocations) -> str:
         # the replay is a pure function of these inputs; anything else
         # (compiler pricing, machine frequency, THP statistics) is applied
         # after the session answers.  The rank signature joins only when
@@ -373,7 +337,7 @@ class PerformancePipeline:
         parts = (
             str(TRACE_SCHEMA), self.log.digest(),
             _layout_signature(proc.space, allocations),
-            geometry_digest(machine.tlb), engine,
+            geometry_digest(machine.tlb), self.engine,
             str(self.seed), str(self.replication),
             str(self.fine_sample_blocks),
             ",".join(sorted(self._fine_kinds)),
@@ -398,40 +362,28 @@ class PerformancePipeline:
             parts = parts + (self.rank_signature,)
         return hashlib.sha256("/".join(parts).encode()).hexdigest()[:40]
 
-    def _pending(self, engine, proc, layout, unk, scratch, eos_table,
-                 flame_table, flux_scratch,
-                 machine: MachineSpec | None = None) -> "ReplayRequest":
-        """Build the replay request for one launched process.
-
-        ``run_batch`` collects these across pipelines and answers them
-        with a single :meth:`ReplaySession.replay_batch` call."""
-        from repro.perfmodel.session import ReplayRequest
-        if self.fault_injector is not None:
-            self.fault_injector(engine)
-        machine = machine or self.machine
+    def _request(self, ctx, machines: list[MachineSpec]) -> ReplayRequest:
+        """The replay request of one launched process, one ``(config
+        key, geometry)`` pair per machine.  Its synthesis is a picklable
+        :class:`SynthesisTask`, so the session may run it on a pool
+        worker and persist the bundle in the trace store."""
+        proc, layout, unk, scratch, eos_table, flame_table, flux_scratch = ctx
         allocations = [unk, *scratch, eos_table, flame_table, flux_scratch]
         return ReplayRequest(
-            config_key=self._config_key(engine, machine, proc, allocations),
-            geometry=machine.tlb,
-            engine=engine,
-            synthesize=self._synthesize_closure(
-                engine, proc, layout, unk, scratch, eos_table, flame_table,
-                flux_scratch),
+            engine=self.engine,
+            synthesize=SynthesisTask(
+                engine=self.engine, space=proc.space, layout=layout,
+                unk=unk, scratch=scratch, eos_table=eos_table,
+                flame_table=flame_table, flux_scratch=flux_scratch,
+                log=self.log, replication=self.replication,
+                fine_sample_blocks=self.fine_sample_blocks, seed=self.seed,
+                fine_kinds=tuple(sorted(self._fine_kinds))),
+            pairs=[(self._config_key(m, proc, allocations), m.tlb)
+                   for m in machines],
             trace_key=self._trace_key(proc, allocations),
         )
 
-    def _replay(self, engine, proc, layout, unk, scratch, eos_table,
-                flame_table, flux_scratch) -> PerfReport:
-        request = self._pending(engine, proc, layout, unk, scratch,
-                                eos_table, flame_table, flux_scratch)
-        replay = self.session.replay(config_key=request.config_key,
-                                     geometry=request.geometry,
-                                     engine=engine,
-                                     synthesize=request.synthesize,
-                                     trace_key=request.trace_key)
-        return self._finish(engine, self.machine, proc, replay)
-
-    def _finish(self, engine, machine, proc, replay) -> PerfReport:
+    def _finish(self, machine, proc, replay) -> PerfReport:
         """Price one session answer into a report (pure post-processing)."""
         rep = self.log.representative_step()
         stream_stats = replay.stream
@@ -476,7 +428,7 @@ class PerformancePipeline:
             machine=machine,
             compiler=self.compiler.name,
             n_steps=self.log.n_steps,
-            engine=engine,
+            engine=self.engine,
             degradations=dict(self.kernel.degradations.counts),
         )
 
@@ -484,48 +436,25 @@ class PerformancePipeline:
     def run_geometries(self, geometries) -> list[PerfReport]:
         """Replay this configuration under many TLB geometries at once.
 
-        One launch, one trace synthesis, one batched kernel pass for the
-        whole sweep (:meth:`ReplaySession.replay_sweep`); each report is
-        priced against ``self.machine`` with its TLB swapped for the
-        sweep point — bit-identical to constructing one pipeline per
-        geometry, at a fraction of the cost.  Degrades to the scalar
-        oracle as :meth:`run` does.
+        One launch and one request to :meth:`ReplaySession.replay_sweep`:
+        one trace synthesis and one batched kernel pass for the whole
+        sweep.  Each report is priced against ``self.machine`` with its
+        TLB swapped for the sweep point — bit-identical to constructing
+        one pipeline per geometry, at a fraction of the cost.
         """
-        geometries = list(geometries)
-        try:
-            return self._run_geometries_with_engine(self.engine, geometries)
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — any replay failure degrades
-            if self.engine == "scalar":
-                raise
-            self.kernel.degradations.record(
-                "perf_engine_scalar_fallback",
-                f"{self.engine!r} engine failed: {type(exc).__name__}: {exc}")
-            return self._run_geometries_with_engine("scalar", geometries)
-
-    def _run_geometries_with_engine(self, engine, geometries):
         machines = [replace(self.machine, tlb=geo) for geo in geometries]
-        proc, layout, unk, scratch, eos_table, flame_table, flux_scratch = \
-            self._launch_and_allocate()
+        ctx = self._launch_and_allocate()
         try:
-            if self.fault_injector is not None:
-                self.fault_injector(engine)
-            allocations = [unk, *scratch, eos_table, flame_table,
-                           flux_scratch]
-            keys = [self._config_key(engine, m, proc, allocations)
-                    for m in machines]
-            synthesize = self._synthesize_closure(
-                engine, proc, layout, unk, scratch, eos_table, flame_table,
-                flux_scratch)
+            request = self._request(ctx, machines)
             replays = self.session.replay_sweep(
-                config_keys=keys, geometries=[m.tlb for m in machines],
-                engine=engine, synthesize=synthesize,
-                trace_key=self._trace_key(proc, allocations))
-            return [self._finish(engine, m, proc, r)
+                config_keys=[key for key, _ in request.pairs],
+                geometries=[geo for _, geo in request.pairs],
+                engine=self.engine, synthesize=request.synthesize,
+                trace_key=request.trace_key)
+            return [self._finish(m, ctx[0], r)
                     for m, r in zip(machines, replays)]
         finally:
-            proc.exit()
+            ctx[0].exit()
 
 
 def run_batch(pipelines) -> list[PerfReport]:
@@ -539,10 +468,12 @@ PerformancePipeline.run` would; the replay requests are then handed to
     running the pipelines one by one — the batch only reorders *where*
     the pure replay kernels run.
 
-    Any failure inside the batched path (an injected fault, a fast-
-    engine inconsistency) falls back to running each pipeline serially
-    through its own :meth:`~PerformancePipeline.run`, which owns the
-    fast-to-scalar degradation story.
+    If the batched path raises, every pipeline reruns serially through
+    its own :meth:`~PerformancePipeline.run`.  Under a shared node
+    kernel (``experiments/scaling.py``) batched launches hold their
+    allocations at the same time and serial ones do not, so a serial
+    rerun can still succeed where the batch failed.  Whether this can
+    happen in practice is unverified.
     """
     pipelines = list(pipelines)
     try:
@@ -552,26 +483,24 @@ PerformancePipeline.run` would; the replay requests are then handed to
             by_session.setdefault(id(pipe.session), []).append(i)
         for idxs in by_session.values():
             session = pipelines[idxs[0]].session
-            procs = []
+            ctxs = []
             try:
                 requests = []
                 for i in idxs:
                     pipe = pipelines[i]
-                    ctx = pipe._launch_and_allocate()
-                    procs.append(ctx[0])
-                    requests.append(pipe._pending(pipe.engine, *ctx))
+                    ctxs.append(pipe._launch_and_allocate())
+                    requests.append(pipe._request(ctxs[-1], [pipe.machine]))
                 replays = session.replay_batch(requests)
-                for i, proc, replay in zip(idxs, procs, replays):
+                for i, ctx, (replay,) in zip(idxs, ctxs, replays):
                     pipe = pipelines[i]
-                    reports[i] = pipe._finish(pipe.engine, pipe.machine,
-                                              proc, replay)
+                    reports[i] = pipe._finish(pipe.machine, ctx[0], replay)
             finally:
-                for proc in procs:
-                    proc.exit()
+                for ctx in ctxs:
+                    ctx[0].exit()
         return reports  # type: ignore[return-value]
     except ConfigurationError:
         raise
-    except Exception:  # noqa: BLE001 — serial re-run owns degradation
+    except Exception:  # noqa: BLE001 — see the docstring
         return [pipe.run() for pipe in pipelines]
 
 

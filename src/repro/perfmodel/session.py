@@ -40,6 +40,11 @@ A :class:`ReplaySession` amortises that matrix three ways:
    Distinct synthesis misses within a batch are themselves schedulable
    work units, run across the replay executor's pool.
 
+Every entry point — one configuration (:meth:`ReplaySession.replay`),
+a batch of pipelines (:meth:`~ReplaySession.replay_batch`), a TLB
+geometry sweep (:meth:`~ReplaySession.replay_sweep`) — goes through one
+planner, so each cache key is built in one place.
+
 The hard contract, inherited from the fast-path work: counters are
 **bit-identical** to per-config :class:`PerformancePipeline` runs on both
 engines.  Dedup relies only on (a) SHA-256 collision resistance and (b)
@@ -59,7 +64,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.hw.a64fx import TLBGeometry
 from repro.hw.tlb import (
@@ -163,23 +168,32 @@ class ReplayResult:
 
 @dataclass
 class ReplayRequest:
-    """One configuration's replay inputs, batchable with others.
+    """One synthesis priced under one or more TLB geometries.
 
-    ``synthesize`` is only called on a config-level cache miss, exactly
-    as in :meth:`ReplaySession.replay` — a warm store never builds a
-    trace.
+    ``synthesize`` is only called when some pair misses the config
+    caches *and* the trace tier misses — a warm store never builds a
+    trace — and at most once per request, however many pairs it has.
     """
 
-    config_key: str
-    geometry: TLBGeometry
     engine: str
     synthesize: Callable[[], tuple[list[PageTrace],
                                    list[tuple[int, PageTrace, float]]]]
+    #: ``(config key, TLB geometry)`` per priced configuration
+    pairs: list[tuple[str, TLBGeometry]]
     #: content key of the synthesis inputs (workload digest + layout
     #: signature + sampling parameters; geometry- and engine-free).
     #: ``None`` keeps the legacy behaviour: synthesis always runs in the
     #: requester and nothing is persisted below the replay cache.
     trace_key: str | None = None
+
+
+class _Slot(NamedTuple):
+    """Where a planned replay's stats land: row ``index`` of work unit
+    ``job``, and entry ``pos`` of that row (``None``: the whole row)."""
+
+    job: tuple
+    index: int
+    pos: int | None
 
 
 class ReplaySession:
@@ -326,51 +340,24 @@ class ReplaySession:
         """The trace tier's store (for metrics/eviction), if any."""
         return self._trace_store()
 
-    def _save_bundle(self, store: TraceStore, key: str,
-                     bundle: TraceBundle) -> TraceBundle | None:
-        """Persist a fresh bundle and map it back (zero-copy views); a
-        failed save degrades the trace tier off and returns ``None``."""
+    def _synthesize(self, task: Callable, key: str | None) -> TraceBundle:
+        """Run one synthesis in the requester.  With a ``key`` and an
+        active trace tier the bundle is persisted and mapped back
+        (zero-copy views); a failed save degrades the tier off."""
+        stream, fine = task()
+        bundle = TraceBundle(stream=list(stream), fine=list(fine))
+        store = self._trace_store() if key is not None else None
+        if store is None:
+            return bundle
         try:
             store.save_bundle(key, bundle.stream, bundle.fine)
         except (OSError, ArtifactError):
             self._trace_off = True
-            return None
-        return store.load_bundle(key)
+            return bundle
+        return store.load_bundle(key) or bundle
 
-    def _synthesize_once(self, trace_key: str | None,
-                         synthesize: Callable) -> TraceBundle:
-        """Resolve one synthesis through the trace tier, inline.
-
-        Bundle-cache hit (memory or store) skips synthesis and counts
-        ``trace_store_hits``; a miss synthesizes in the caller, persists
-        the bundle when the tier is active, and counts
-        ``synthesis_count``.
-        """
-        key = trace_key if self.share else None
-        if key is not None:
-            hit = self._bundles.get(key)
-            if hit is None:
-                store = self._trace_store()
-                if store is not None:
-                    hit = store.load_bundle(key)
-                    if hit is not None:
-                        self._bundles[key] = hit
-            if hit is not None:
-                self.stats.trace_store_hits += 1
-                return hit
-        self.stats.synthesis_count += 1
-        stream, fine = synthesize()
-        bundle = TraceBundle(stream=list(stream), fine=list(fine))
-        if key is not None:
-            store = self._trace_store()
-            if store is not None:
-                mapped = self._save_bundle(store, key, bundle)
-                if mapped is not None:
-                    bundle = mapped
-            self._bundles[key] = bundle
-        return bundle
-
-    def _resolve_syntheses(self, pending: list[tuple[int, "ReplayRequest"]],
+    def _resolve_syntheses(self, pending: list[tuple[int, "ReplayRequest",
+                                                     list[int]]],
                            executor) -> dict[int, TraceBundle]:
         """Resolve every pending request's synthesis to a trace bundle.
 
@@ -379,18 +366,21 @@ class ReplaySession:
         executor's pool when the trace tier is active and the tasks are
         picklable (workers persist the bundle; the requester maps it) —
         and synthesizes inline otherwise.  Accounting is as-if-
-        sequential: one ``synthesis_count`` per distinct miss, one
+        sequential: one ``synthesis_count`` per distinct miss (per
+        request when the session does not share), one
         ``trace_store_hits`` per request that would have found the store
-        warm, independent of the job count.
+        warm, independent of the job count and of how many geometries
+        the request prices.
         """
         out: dict[int, TraceBundle] = {}
         store = self._trace_store()
         waiting: dict[str, list[int]] = {}
         tasks: dict[str, Callable] = {}
-        for i, req in pending:
+        for r, req, _ in pending:
             key = req.trace_key if self.share else None
             if key is None:
-                out[i] = self._synthesize_once(None, req.synthesize)
+                self.stats.synthesis_count += 1
+                out[r] = self._synthesize(req.synthesize, None)
                 continue
             hit = self._bundles.get(key)
             if hit is None and store is not None:
@@ -399,15 +389,15 @@ class ReplaySession:
                     self._bundles[key] = hit
             if hit is not None:
                 self.stats.trace_store_hits += 1
-                out[i] = hit
+                out[r] = hit
                 continue
             if key in waiting:
                 # an earlier batch entry synthesizes this bundle;
                 # sequential execution would find the store warm here
                 self.stats.trace_store_hits += 1
-                waiting[key].append(i)
+                waiting[key].append(r)
                 continue
-            waiting[key] = [i]
+            waiting[key] = [r]
             tasks[key] = req.synthesize
         if not tasks:
             return out
@@ -431,16 +421,10 @@ class ReplaySession:
         for k in keys:
             bundle = done.get(k)
             if bundle is None:
-                stream, fine = tasks[k]()
-                bundle = TraceBundle(stream=list(stream), fine=list(fine))
-                store = self._trace_store()
-                if store is not None:
-                    mapped = self._save_bundle(store, k, bundle)
-                    if mapped is not None:
-                        bundle = mapped
+                bundle = self._synthesize(tasks[k], k)
             self._bundles[k] = bundle
-            for i in waiting[k]:
-                out[i] = bundle
+            for r in waiting[k]:
+                out[r] = bundle
         return out
 
     # --- replay ----------------------------------------------------------
@@ -453,216 +437,11 @@ class ReplaySession:
 
         ``synthesize`` is only called on a config-level miss *and* a
         trace-tier miss — a warm store answers without building a single
-        trace.  This is the single-request form of :meth:`replay_batch`;
-        counters and cache behaviour are identical by construction.
+        trace.  A one-request, one-pair :meth:`replay_batch`.
         """
         return self.replay_batch([ReplayRequest(
-            config_key=config_key, geometry=geometry, engine=engine,
-            synthesize=synthesize, trace_key=trace_key)])[0]
-
-    def replay_batch(self, requests: list[ReplayRequest], *,
-                     executor=None) -> list[ReplayResult]:
-        """Thread-safe entry point for :meth:`_replay_batch`.
-
-        One re-entrant lock serialises the session's cache mutations
-        (:meth:`replay_batch`, :meth:`replay_sweep`, :meth:`memo`), so a
-        multi-threaded server sharing one session keeps the exact
-        sequential accounting the bench gates on — concurrency between
-        *different* requests lives above this layer, in the serving
-        singleflight, and below it, in the replay executor.
-        """
-        with self._lock:
-            return self._replay_batch(requests, executor=executor)
-
-    def _replay_batch(self, requests: list[ReplayRequest], *,
-                      executor=None) -> list[ReplayResult]:
-        """Replay many configurations, scheduling distinct work units.
-
-        The batch first answers every request it can from the config
-        caches, then synthesises the misses (serially — synthesis reads
-        the simulated process) and *dedupes* their work across the
-        batch: one unit per distinct content-keyed stream bundle, one
-        per distinct fine trace.  Units are pure functions of their
-        inputs, so the executor may run them in any order on any number
-        of processes; results merge back by digest.  With the default
-        serial executor the whole method is step-for-step the sequence
-        of :meth:`replay` calls it replaces — counters included.
-
-        ``executor`` defaults to the session's own lazily-created
-        :class:`~repro.perfmodel.parallel.ReplayExecutor`, whose job
-        count honours ``REPRO_REPLAY_JOBS`` / the ``replay_jobs``
-        runtime parameter (serial unless asked otherwise).
-        """
-        results: list[ReplayResult | None] = [None] * len(requests)
-        pending: list[tuple[int, ReplayRequest]] = []
-        pending_by_key: dict[str, int] = {}
-        aliases: list[tuple[int, int]] = []  # (index, index of original)
-        for i, req in enumerate(requests):
-            self.stats.configs += 1
-            if self.share:
-                hit = self._configs.get(req.config_key)
-                if hit is not None:
-                    self.stats.memory_hits += 1
-                    results[i] = hit
-                    continue
-                if req.config_key in pending_by_key:
-                    # an earlier batch entry already computes this config;
-                    # sequential replay would memory-hit here
-                    self.stats.memory_hits += 1
-                    aliases.append((i, pending_by_key[req.config_key]))
-                    continue
-                stored = self._load(f"cfg-{req.config_key}")
-                if self._valid_config(stored):
-                    result = ReplayResult(
-                        stream=list(stored["stream"]),
-                        fine=[(int(j), s, float(sc))
-                              for j, s, sc in stored["fine"]])
-                    self._configs[req.config_key] = result
-                    self.stats.disk_hits += 1
-                    results[i] = result
-                    continue
-                pending_by_key[req.config_key] = i
-            pending.append((i, req))
-        if not pending:
-            return results  # type: ignore[return-value]
-
-        if executor is None:
-            executor = self._executor_for_batch()
-
-        # --- resolve synthesis through the trace tier: bundle-cache
-        # hits skip it, distinct misses run (possibly across the pool)
-        # and persist their bundles for the next request and process
-        bundles = self._resolve_syntheses(pending, executor)
-
-        # --- plan: dedupe distinct work units across the batch.  Unit
-        # keys are content digests, so the accounting below is exactly
-        # what sequential execution would have recorded: the first
-        # requester of a unit computes it, later requesters hit the
-        # (by then warm) trace cache.  Store-backed bundles put a
-        # :class:`~repro.perfmodel.tracestore.TraceRef` in the unit —
-        # pool workers map the payload instead of unpickling it.
-        stream_units: dict[object, tuple] = {}   # ukey -> work unit
-        fine_units: dict[object, tuple] = {}
-        plans = []
-        for i, req in pending:
-            bundle = bundles[i]
-            stream_traces, fine_traces = bundle.stream, bundle.fine
-            geo = geometry_digest(req.geometry)
-            computed = False
-
-            # stream pass: one shared TLB for the whole sequence -> the
-            # sequence deduplicates only as a whole
-            bundle_hash = hashlib.sha256()
-            bundle_hash.update(
-                f"stream/{req.engine}/{geo}/{len(stream_traces)}".encode())
-            for t in stream_traces:
-                bundle_hash.update(trace_digest(t).encode())
-            bundle_key = _hexdigest(bundle_hash)
-            stream_cached = self._cached_traces(bundle_key)
-            stream_ukey: object = bundle_key if self.share else (bundle_key, i)
-            if (stream_cached is not None
-                    and len(stream_cached) == len(stream_traces)):
-                self.stats.trace_hits += 1
-            elif self.share and stream_ukey in stream_units:
-                self.stats.trace_hits += 1
-            else:
-                stream_units[stream_ukey] = ("stream", req.engine,
-                                             req.geometry,
-                                             bundle.stream_payload())
-                computed = True
-
-            # fine passes: independent (fresh) TLB per trace -> each
-            # trace deduplicates individually, within and across
-            # configurations (and across the batch)
-            digests = [trace_digest(t) for _, t, _ in fine_traces]
-            fine_sources: dict[str, tuple] = {}  # digest -> source
-            for pos, d in enumerate(digests):
-                if d in fine_sources:
-                    self.stats.fine_deduped += 1
-                    continue
-                fine_ukey: object = (req.engine, geo, d)
-                cached = self._cached_traces(f"fine-{req.engine}-{geo}-{d}")
-                if cached is not None and len(cached) == 1:
-                    fine_sources[d] = ("cached", cached[0])
-                    self.stats.trace_hits += 1
-                elif self.share and fine_ukey in fine_units:
-                    fine_sources[d] = ("unit", fine_ukey)
-                    self.stats.trace_hits += 1
-                else:
-                    if not self.share:
-                        fine_ukey = (req.engine, geo, d, i)
-                    fine_units[fine_ukey] = ("fine", req.engine,
-                                             req.geometry,
-                                             bundle.fine_payload(pos))
-                    fine_sources[d] = ("unit", fine_ukey)
-                    computed = True
-            if computed:
-                self.stats.replays += 1
-            plans.append({
-                "index": i, "request": req, "geo": geo,
-                "bundle_key": bundle_key, "stream_ukey": stream_ukey,
-                "stream_cached": stream_cached
-                if (stream_cached is not None
-                    and len(stream_cached) == len(stream_traces)) else None,
-                "digests": digests, "fine_traces": fine_traces,
-                "fine_sources": fine_sources,
-            })
-
-        # --- execute every distinct unit (possibly on worker processes).
-        # Bundles referenced by units are pinned so a concurrent save's
-        # budget enforcement cannot evict a file a worker is about to map
-        ukeys = list(stream_units) + list(fine_units)
-        units = [stream_units[k] for k in stream_units] + \
-                [fine_units[k] for k in fine_units]
-        tstore = self._trace_store()
-        used_keys = ({b.key for b in bundles.values() if b.key}
-                     if tstore is not None else set())
-        guard = (tstore.pinned(*(f"syn-{k}" for k in sorted(used_keys)))
-                 if used_keys else nullcontext())
-        with guard:
-            outputs = executor.run_units(units)
-        by_ukey = dict(zip(ukeys, outputs))
-        if tstore is not None and tstore.max_bytes is not None:
-            tstore.enforce_budget()
-
-        # --- merge by digest, persist, assemble in request order
-        for plan in plans:
-            req = plan["request"]
-            if plan["stream_cached"] is not None:
-                stream_stats = plan["stream_cached"]
-            else:
-                stream_stats = by_ukey[plan["stream_ukey"]]
-                if plan["stream_ukey"] in stream_units:
-                    self._store_traces(plan["bundle_key"], stream_stats)
-                    # later plans sharing the bundle read the stored list
-                    stream_units.pop(plan["stream_ukey"], None)
-            fine: list[tuple[int, TLBStats, float]] = []
-            resolved: dict[str, TLBStats] = {}
-            for d, (j, _, scale) in zip(plan["digests"],
-                                        plan["fine_traces"]):
-                if d not in resolved:
-                    kind, payload = plan["fine_sources"][d]
-                    if kind == "cached":
-                        resolved[d] = payload
-                    else:
-                        stats = by_ukey[payload][0]
-                        resolved[d] = stats
-                        if payload in fine_units:
-                            self._store_traces(
-                                f"fine-{req.engine}-{plan['geo']}-{d}",
-                                [stats])
-                            fine_units.pop(payload, None)
-                fine.append((j, resolved[d], scale))
-            result = ReplayResult(stream=stream_stats, fine=fine)
-            if self.share:
-                self._configs[req.config_key] = result
-                self._save(f"cfg-{req.config_key}",
-                           {"stream": result.stream, "fine": result.fine})
-            results[plan["index"]] = result
-        for i, j in aliases:
-            results[i] = self._configs.get(requests[j].config_key,
-                                           results[j])
-        return results  # type: ignore[return-value]
+            engine=engine, synthesize=synthesize, trace_key=trace_key,
+            pairs=[(config_key, geometry)])])[0][0]
 
     def replay_sweep(self, *, config_keys: list[str],
                      geometries: list[TLBGeometry], engine: str,
@@ -670,149 +449,212 @@ class ReplaySession:
                                                     list[tuple[int, PageTrace,
                                                                float]]]],
                      trace_key: str | None = None) -> list[ReplayResult]:
-        """Thread-safe entry point for :meth:`_replay_sweep` (see
-        :meth:`replay_batch` for the locking contract)."""
-        with self._lock:
-            return self._replay_sweep(config_keys=config_keys,
-                                      geometries=geometries, engine=engine,
-                                      synthesize=synthesize,
-                                      trace_key=trace_key)
+        """Replay one trace set under many TLB geometries.
 
-    def _replay_sweep(self, *, config_keys: list[str],
-                      geometries: list[TLBGeometry], engine: str,
-                      synthesize: Callable[[], tuple[list[PageTrace],
-                                                     list[tuple[int, PageTrace,
-                                                                float]]]],
-                      trace_key: str | None = None) -> list[ReplayResult]:
-        """Replay one trace set under many TLB geometries in one pass.
-
-        The geometry-sweep analogue of :meth:`replay_batch`: synthesis
-        runs (at most) once, and on the fast engine every geometry that
-        misses the caches shares a single
-        :func:`~repro.hw.tlb.run_steady_segments_multi` call — one
-        stack-distance pass for the whole sweep.  Results are persisted
-        under exactly the keys per-geometry :meth:`replay` calls would
-        use, so sweeps and single replays warm each other's caches, and
-        every entry is bit-identical to its serial equivalent (the
-        batched kernel's contract).
+        A one-request :meth:`replay_batch` with one ``(config key,
+        geometry)`` pair per sweep point: synthesis runs at most once,
+        the fast engine replays every geometry that misses the caches in
+        one multi-geometry kernel call, and results land under exactly
+        the keys single :meth:`replay` calls use, so sweeps and single
+        replays warm each other's caches.
         """
         if len(config_keys) != len(geometries):
             raise ConfigurationError(
                 "replay_sweep needs one config key per geometry")
-        results: list[ReplayResult | None] = [None] * len(config_keys)
-        pending: list[int] = []
-        for i, key in enumerate(config_keys):
-            self.stats.configs += 1
-            if self.share:
-                hit = self._configs.get(key)
-                if hit is not None:
-                    self.stats.memory_hits += 1
-                    results[i] = hit
-                    continue
-                stored = self._load(f"cfg-{key}")
-                if self._valid_config(stored):
-                    result = ReplayResult(
-                        stream=list(stored["stream"]),
-                        fine=[(int(j), s, float(sc))
-                              for j, s, sc in stored["fine"]])
-                    self._configs[key] = result
-                    self.stats.disk_hits += 1
-                    results[i] = result
-                    continue
-            pending.append(i)
-        if not pending:
-            return results  # type: ignore[return-value]
+        return self.replay_batch([ReplayRequest(
+            engine=engine, synthesize=synthesize, trace_key=trace_key,
+            pairs=list(zip(config_keys, geometries)))])[0]
 
-        bundle = self._synthesize_once(trace_key, synthesize)
-        stream_traces, fine_traces = bundle.stream, bundle.fine
-        fine_digests = [trace_digest(t) for _, t, _ in fine_traces]
-        trace_by_digest: dict[str, PageTrace] = {}
-        for d, (_, t, _) in zip(fine_digests, fine_traces):
-            trace_by_digest.setdefault(d, t)
+    def replay_batch(self, requests: list[ReplayRequest], *,
+                     executor=None) -> list[list[ReplayResult]]:
+        """Thread-safe entry point for :meth:`_replay_batch`.
 
-        plans: dict[int, dict] = {}
-        stream_need: list[int] = []
-        for i in pending:
-            geo = geometry_digest(geometries[i])
-            bundle_hash = hashlib.sha256()
-            bundle_hash.update(
-                f"stream/{engine}/{geo}/{len(stream_traces)}".encode())
-            for t in stream_traces:
-                bundle_hash.update(trace_digest(t).encode())
-            bundle_key = _hexdigest(bundle_hash)
-            computed = False
-            stream_stats = self._cached_traces(bundle_key)
-            if (stream_stats is not None
-                    and len(stream_stats) == len(stream_traces)):
-                self.stats.trace_hits += 1
-            else:
-                stream_stats = None
-                stream_need.append(i)
-                computed = True
-            by_digest: dict[str, TLBStats] = {}
-            missing: list[str] = []
-            for d in fine_digests:
-                if d in by_digest or d in missing:
-                    self.stats.fine_deduped += 1
-                    continue
-                cached = self._cached_traces(f"fine-{engine}-{geo}-{d}")
-                if cached is not None and len(cached) == 1:
-                    by_digest[d] = cached[0]
+        One re-entrant lock serialises the session's cache mutations
+        (:meth:`replay_batch` and :meth:`memo`), so a multi-threaded
+        server sharing one session keeps the exact sequential accounting
+        the bench gates on — concurrency between *different* requests
+        lives above this layer, in the serving singleflight, and below
+        it, in the replay executor.
+        """
+        with self._lock:
+            return self._replay_batch(requests, executor=executor)
+
+    def _replay_batch(self, requests: list[ReplayRequest], *,
+                      executor=None) -> list[list[ReplayResult]]:
+        """The session's one replay planner.
+
+        A request is one synthesis priced under one or more ``(config
+        key, geometry)`` pairs.  The batch first answers every pair it
+        can from the config caches, then resolves each request that
+        still misses to one trace bundle (:meth:`_resolve_syntheses`)
+        and runs the replay work that no cache answers
+        (:meth:`_compute`).  With the default serial executor the whole
+        method is step-for-step the sequence of :meth:`replay` calls it
+        replaces — counters included.
+
+        ``executor`` defaults to the session's own lazily-created
+        :class:`~repro.perfmodel.parallel.ReplayExecutor`, whose job
+        count honours ``REPRO_REPLAY_JOBS`` / the ``replay_jobs``
+        runtime parameter (serial unless asked otherwise).
+
+        Returns one list of results per request, in pair order.
+        """
+        results: list[list[ReplayResult | None]] = [
+            [None] * len(req.pairs) for req in requests]
+        pending: list[tuple[int, ReplayRequest, list[int]]] = []
+        claimed: set[str] = set()
+        hits: list[tuple[int, int]] = []  # pairs answered by self._configs
+        for r, req in enumerate(requests):
+            todo = []
+            for p, (key, _) in enumerate(req.pairs):
+                self.stats.configs += 1
+                if self.share:
+                    if key in self._configs or key in claimed:
+                        # an earlier pair computing this config counts as
+                        # the memory hit sequential replay would record
+                        self.stats.memory_hits += 1
+                        hits.append((r, p))
+                        continue
+                    stored = self._load(self._entry_key("cfg", key))
+                    if self._valid_config(stored):
+                        self._configs[key] = ReplayResult(
+                            stream=list(stored["stream"]),
+                            fine=[(int(j), s, float(sc))
+                                  for j, s, sc in stored["fine"]])
+                        self.stats.disk_hits += 1
+                        hits.append((r, p))
+                        continue
+                    claimed.add(key)
+                todo.append(p)
+            if todo:
+                pending.append((r, req, todo))
+        if pending:
+            self._compute(pending, results,
+                          executor or self._executor_for_batch())
+        for r, p in hits:
+            results[r][p] = self._configs[requests[r].pairs[p][0]]
+        return results  # type: ignore[return-value]
+
+    def _compute(self, pending: list[tuple[int, ReplayRequest, list[int]]],
+                 results: list[list[ReplayResult | None]], executor) -> None:
+        """Synthesize, plan, run and persist the pairs no cache answered.
+
+        Cache names are content digests (:meth:`_entry_key`), so the
+        first pair that needs a stream sequence or fine trace claims it
+        for a work unit and every later pair counts the trace hit that
+        sequential execution would have found.  A unit is one bundle's
+        stream sequence, or one set of its fine traces, under every
+        geometry that misses it: the fast engine runs it as one
+        multi-geometry kernel call, and the executor may run units in
+        any order on any number of processes.
+        """
+        bundles = self._resolve_syntheses(pending, executor)
+
+        # (kind, engine, id(bundle), sections) -> (bundle, geometries)
+        jobs: dict[tuple, tuple[TraceBundle, list[TLBGeometry]]] = {}
+        claims: dict[str, _Slot] = {}        # cache name -> its computation
+        fresh: list[tuple[str, _Slot]] = []  # names to persist once run
+        digests: dict[int, tuple[list[str], list[str]]] = {}
+        plans = []
+
+        def claim(kind, engine, bundle, sections, geometry) -> _Slot:
+            job = (kind, engine, id(bundle), sections)
+            geometries = jobs.setdefault(job, (bundle, []))[1]
+            geometries.append(geometry)
+            return _Slot(job, len(geometries) - 1, None)
+
+        for r, req, todo in pending:
+            bundle = bundles[r]
+            if id(bundle) not in digests:
+                digests[id(bundle)] = (
+                    [trace_digest(t) for t in bundle.stream],
+                    [trace_digest(t) for _, t, _ in bundle.fine])
+            sd, fd = digests[id(bundle)]
+            n_stream = len(sd)
+            for p in todo:
+                key, geometry = req.pairs[p]
+                geo = geometry_digest(geometry)
+                owned: list[tuple[str, _Slot]] = []
+
+                # stream pass: one shared TLB for the whole sequence, so
+                # the sequence deduplicates only as a whole
+                name = self._entry_key("stream", req.engine, geo, *sd)
+                stream = self._cached_traces(name, n_stream)
+                if stream is None:
+                    stream = claims.get(name)
+                if stream is not None:
                     self.stats.trace_hits += 1
                 else:
-                    missing.append(d)
-            if missing:
-                computed = True
-            if computed:
-                self.stats.replays += 1
-            plans[i] = {"geo": geo, "bundle_key": bundle_key,
-                        "stream": stream_stats, "by_digest": by_digest,
-                        "missing": missing}
+                    stream = claim("stream", req.engine, bundle,
+                                   tuple(range(n_stream)), geometry)
+                    owned.append((name, stream))
 
-        if stream_need:
-            geos = [geometries[i] for i in stream_need]
-            if engine == "fast":
-                rows = run_steady_segments_multi(
-                    geos, stream_traces, streams=[0] * len(stream_traces))
-            else:
-                rows = [self._replay_stream(engine, g, stream_traces)
-                        for g in geos]
-            for i, row in zip(stream_need, rows):
-                plans[i]["stream"] = row
-                self._store_traces(plans[i]["bundle_key"], row)
+                # fine passes: a fresh TLB per trace, so each trace
+                # deduplicates on its own, within and across pairs
+                fine: dict[str, Any] = {}  # digest -> stats or slot
+                missing: list[tuple[int, str, str]] = []
+                for pos, d in enumerate(fd):
+                    if d in fine:
+                        self.stats.fine_deduped += 1
+                        continue
+                    fname = self._entry_key("fine", req.engine, geo, d)
+                    cached = self._cached_traces(fname, 1)
+                    fine[d] = cached[0] if cached else claims.get(fname)
+                    if fine[d] is not None:
+                        self.stats.trace_hits += 1
+                    else:
+                        missing.append((pos, d, fname))
+                if missing:
+                    slot = claim("fine", req.engine, bundle,
+                                 tuple(n_stream + pos for pos, _, _ in missing),
+                                 geometry)
+                    for k, (_, d, fname) in enumerate(missing):
+                        fine[d] = slot._replace(pos=k)
+                        owned.append((fname, fine[d]))
 
-        # fine traces: geometries missing the *same* digests replay them
-        # together (cold sweeps collapse into one batched call)
-        groups: dict[tuple, list[int]] = {}
-        for i in pending:
-            if plans[i]["missing"]:
-                groups.setdefault(tuple(plans[i]["missing"]), []).append(i)
-        for missing, idxs in groups.items():
-            traces = [trace_by_digest[d] for d in missing]
-            if engine == "fast" and len(idxs) > 1:
-                rows = run_steady_segments_multi(
-                    [geometries[i] for i in idxs], traces,
-                    streams=list(range(len(traces))))
-            else:
-                rows = [self._replay_fine(engine, geometries[i], traces)
-                        for i in idxs]
-            for i, row in zip(idxs, rows):
-                for d, stats in zip(missing, row):
-                    plans[i]["by_digest"][d] = stats
-                    self._store_traces(
-                        f"fine-{engine}-{plans[i]['geo']}-{d}", [stats])
+                if owned:
+                    self.stats.replays += 1
+                    fresh.extend(owned)
+                    if self.share:
+                        claims.update(owned)
+                plans.append((r, p, key, stream, fine, fd, bundle.fine))
 
-        for i in pending:
-            plan = plans[i]
-            fine = [(j, plan["by_digest"][d], scale)
-                    for d, (j, _, scale) in zip(fine_digests, fine_traces)]
-            result = ReplayResult(stream=plan["stream"], fine=fine)
+        # --- run every unit.  Bundles referenced by units are pinned so a
+        # concurrent save's budget enforcement cannot evict a file a pool
+        # worker is about to map
+        units = [(kind, engine, tuple(geometries), (bundle, sections))
+                 for (kind, engine, _, sections), (bundle, geometries)
+                 in jobs.items()]
+        tstore = self._trace_store()
+        used = (sorted({b.key for b in bundles.values() if b.key})
+                if tstore is not None else [])
+        with (tstore.pinned(*(f"syn-{k}" for k in used)) if used
+              else nullcontext()):
+            outputs = executor.run_units(units)
+        rows = dict(zip(jobs, outputs))
+        if tstore is not None and tstore.max_bytes is not None:
+            tstore.enforce_budget()
+
+        def value(src):
+            if not isinstance(src, _Slot):
+                return src  # answered by the trace cache
+            row = rows[src.job][src.index]
+            return row if src.pos is None else row[src.pos]
+
+        # --- persist, then assemble in request order
+        for name, slot in fresh:
+            stats = value(slot)
+            self._store_traces(name, stats if slot.pos is None else [stats])
+        for r, p, key, stream, fine, fd, fine_traces in plans:
+            result = ReplayResult(
+                stream=value(stream),
+                fine=[(j, value(fine[d]), scale)
+                      for d, (j, _, scale) in zip(fd, fine_traces)])
             if self.share:
-                self._configs[config_keys[i]] = result
-                self._save(f"cfg-{config_keys[i]}",
+                self._configs[key] = result
+                self._save(self._entry_key("cfg", key),
                            {"stream": result.stream, "fine": result.fine})
-            results[i] = result
-        return results  # type: ignore[return-value]
+            results[r][p] = result
 
     def _executor_for_batch(self):
         """The session's lazily-created executor (jobs from the
@@ -841,24 +683,44 @@ class ReplaySession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _cached_traces(self, key: str) -> list[TLBStats] | None:
+    @staticmethod
+    def _entry_key(kind: str, *parts: str) -> str:
+        """The persisted name of one session entry — the one place the
+        ``cfg-``, ``trace-`` and ``trace-fine-`` names are spelled.
+
+        ``("cfg", config_key)`` names a config-level result;
+        ``("stream", engine, geo, *trace_digests)`` a stream sequence
+        (one shared TLB, so the sequence is keyed as a whole);
+        ``("fine", engine, geo, trace_digest)`` one fine trace.
+        """
+        if kind == "cfg":
+            return f"cfg-{parts[0]}"
+        engine, geo, *digests = parts
+        if kind == "fine":
+            return f"trace-fine-{engine}-{geo}-{digests[0]}"
+        h = hashlib.sha256()
+        h.update(f"stream/{engine}/{geo}/{len(digests)}".encode())
+        for d in digests:
+            h.update(d.encode())
+        return f"trace-{_hexdigest(h)}"
+
+    def _cached_traces(self, name: str, n: int) -> list[TLBStats] | None:
+        """The cached stats of ``n`` traces under ``name``, if any."""
         if not self.share:
             return None
-        hit = self._traces.get(key)
-        if hit is not None:
-            return hit
-        stored = self._load(f"trace-{key}")
-        if (isinstance(stored, list)
-                and all(isinstance(s, TLBStats) for s in stored)):
-            self._traces[key] = stored
-            return stored
-        return None
+        hit = self._traces.get(name)
+        if hit is None:
+            stored = self._load(name)
+            if (isinstance(stored, list)
+                    and all(isinstance(s, TLBStats) for s in stored)):
+                self._traces[name] = hit = stored
+        return hit if hit is not None and len(hit) == n else None
 
-    def _store_traces(self, key: str, stats: list[TLBStats]) -> None:
+    def _store_traces(self, name: str, stats: list[TLBStats]) -> None:
         if not self.share:
             return
-        self._traces[key] = stats
-        self._save(f"trace-{key}", stats)
+        self._traces[name] = stats
+        self._save(name, stats)
 
     @staticmethod
     def _valid_config(stored: Any) -> bool:
@@ -869,30 +731,42 @@ class ReplaySession:
                 and all(len(e) == 3 and isinstance(e[1], TLBStats)
                         for e in stored["fine"]))
 
-    # --- the two replay kernels (bit-identical to the per-config paths) --
+    # --- the replay kernel (bit-identical to the per-config paths) ------
     @staticmethod
-    def _replay_stream(engine: str, geometry: TLBGeometry,
-                       traces: list[PageTrace]) -> list[TLBStats]:
-        if engine == "fast":
-            return run_steady_segments(geometry, traces,
-                                       streams=[0] * len(traces))
-        sim = TLBSimulator(geometry)
-        for t in traces:
-            sim.run(t)  # warm pass
-        return [sim.run(t) for t in traces]
+    def _replay_kernel(kind: str, engine: str,
+                       geometries: tuple[TLBGeometry, ...],
+                       traces: list[PageTrace]) -> list[list[TLBStats]]:
+        """Steady-state stats of one work unit: one row per geometry,
+        one entry per trace.
 
-    @staticmethod
-    def _replay_fine(engine: str, geometry: TLBGeometry,
-                     traces: list[PageTrace]) -> list[TLBStats]:
+        ``"stream"`` traces replay through one shared TLB (a warm-up
+        pass, then the measured pass); ``"fine"`` traces each through a
+        fresh one.  The fast engine replays every geometry in one
+        kernel call; the scalar oracle loops over them.
+        """
         if engine == "fast":
-            return run_steady_segments(geometry, traces,
-                                       streams=list(range(len(traces))))
-        out = []
-        for trace in traces:
-            sim = TLBSimulator(geometry)
-            sim.run(trace)  # warm
-            out.append(sim.run(trace))
-        return out
+            streams = ([0] * len(traces) if kind == "stream"
+                       else list(range(len(traces))))
+            if len(geometries) == 1:
+                return [run_steady_segments(geometries[0], traces,
+                                            streams=streams)]
+            return run_steady_segments_multi(geometries, traces,
+                                             streams=streams)
+        rows = []
+        for geometry in geometries:
+            if kind == "stream":
+                sim = TLBSimulator(geometry)
+                for t in traces:
+                    sim.run(t)  # warm pass
+                rows.append([sim.run(t) for t in traces])
+                continue
+            row = []
+            for t in traces:
+                sim = TLBSimulator(geometry)
+                sim.run(t)  # warm
+                row.append(sim.run(t))
+            rows.append(row)
+        return rows
 
     # --- deterministic experiment memoisation ----------------------------
     def memo(self, kind: str, key_parts: tuple, builder: Callable[[], Any],

@@ -127,7 +127,7 @@ class TraceBundle:
 
     ``key``/``root`` are set when the bundle is backed by a store entry
     (its arrays are then read-only memmap views); an in-memory bundle
-    leaves them empty and its payloads travel by value.
+    leaves them empty, and pool dispatch ships its traces by value.
     """
 
     stream: list[PageTrace]
@@ -144,35 +144,15 @@ class TraceBundle:
         """Every trace in bundle order (stream first, then fine)."""
         return [*self.stream, *(t for _, t, _ in self.fine)]
 
-    def stream_payload(self):
-        """The stream-pass work-unit payload: a :class:`TraceRef` when
-        store-backed (workers mmap by digest), else the traces."""
-        if self.key and self.root is not None:
-            return TraceRef(
-                root=str(self.root), key=self.key,
-                sections=tuple(range(len(self.stream))),
-                nbytes=sum(t.nbytes for t in self.stream), thp=self.thp)
-        return self.stream
-
-    def fine_payload(self, pos: int):
-        """The work-unit payload for fine trace *pos* (one section)."""
-        trace = self.fine[pos][1]
-        if self.key and self.root is not None:
-            return TraceRef(
-                root=str(self.root), key=self.key,
-                sections=(len(self.stream) + pos,),
-                nbytes=trace.nbytes, thp=self.thp)
-        return [trace]
-
 
 @dataclass(frozen=True)
 class TraceRef:
     """A picklable pointer to sections of a stored trace bundle.
 
-    Work units carry these instead of arrays: what crosses the pipe to a
-    pool worker is ~100 bytes of path + digest, and the worker maps the
-    payload read-only straight from the store (the page cache makes the
-    second mapping free).
+    Pool dispatch puts these in work units instead of arrays: what
+    crosses the pipe to a worker is ~100 bytes of path + digest, and the
+    worker maps the payload read-only straight from the store (the page
+    cache makes the second mapping free).
     """
 
     root: str

@@ -27,6 +27,7 @@ from repro.mesh.tree import AMRTree
 from repro.perfmodel.fastpath import FastTraceBuilder
 from repro.perfmodel.patterns import TraceBuilder
 from repro.perfmodel.pipeline import PerformancePipeline, resolve_engine
+from repro.perfmodel.session import ReplaySession
 from repro.perfmodel.workrecord import UnitInvocation, WorkLog
 from repro.physics.eos import GammaLawEOS
 from repro.util.errors import ConfigurationError
@@ -268,9 +269,40 @@ class TestEngineSelection:
     def test_pipeline_accepts_engine(self, small_log):
         pipe = PerformancePipeline(small_log, GNU, engine="scalar")
         assert pipe.engine == "scalar"
+        report = PerformancePipeline(small_log, GNU, engine="fast").run()
+        assert report.engine == "fast"
+        assert report.degradations == {}
 
     def test_pipeline_accepts_params(self, small_log, monkeypatch):
         monkeypatch.delenv("REPRO_PERF_ENGINE", raising=False)
         params = RuntimeParameters.from_par("perf_engine = scalar")
         pipe = PerformancePipeline(small_log, GNU, params=params)
         assert pipe.engine == "scalar"
+
+
+class TestReplayErrors:
+    """Both engines are deterministic, so a replay error is a bug: it
+    propagates (nothing reruns it on the scalar oracle), and the
+    launched process is released either way."""
+
+    @pytest.mark.parametrize("entry", ["run", "run_geometries"])
+    @pytest.mark.parametrize("error", [
+        RuntimeError("fast-path divergence"),
+        ConfigurationError("bad flags"),
+    ], ids=["runtime", "configuration"])
+    def test_error_propagates(self, small_log, monkeypatch, entry, error):
+        session = ReplaySession(persist=False)
+
+        def broken(requests, *, executor=None):
+            raise error
+
+        monkeypatch.setattr(session, "_replay_batch", broken)
+        pipe = PerformancePipeline(small_log, FUJITSU, engine="fast",
+                                   session=session)
+        with pytest.raises(type(error), match=str(error)):
+            if entry == "run":
+                pipe.run()
+            else:
+                pipe.run_geometries([A64FX.tlb, A64FX.tlb])
+        assert pipe.kernel.pool().allocated == 0
+        assert pipe.kernel.degradations.counts == {}

@@ -9,10 +9,12 @@ jobs, and under racing writers sharing one persistent store.
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 import repro.perfmodel.parallel as parallel_mod
+import repro.perfmodel.session as session_mod
 from repro.experiments.workloads import sod_problem_worklog
 from repro.hw.a64fx import A64FX, XEON_E5_2683V3
 from repro.perfmodel.parallel import ReplayExecutor, resolve_jobs
@@ -38,6 +40,11 @@ def _fingerprint(report):
     counters = {event.value: total for event, total in bank.totals.items()}
     return (units, counters, report.seconds, report.flash_timer_s,
             report.uses_huge_pages)
+
+
+#: three distinct L1 DTLB sizes for geometry sweeps
+_SWEEP = [replace(A64FX.tlb, l1=replace(A64FX.tlb.l1, entries=e, assoc=e))
+          for e in (8, 16, 64)]
 
 
 def _batch_pipelines(log, session):
@@ -115,22 +122,44 @@ class TestBitIdentity:
         assert s1 == s2
 
     def test_geometry_sweep_unaffected_by_jobs(self, sod_log, monkeypatch):
-        from dataclasses import replace
-
-        geometries = [replace(A64FX.tlb,
-                              l1=replace(A64FX.tlb.l1, entries=e, assoc=e))
-                      for e in (8, 16, 64)]
-        prints = []
+        prints, stats = [], []
         for jobs in (1, 2):
             monkeypatch.setenv("REPRO_REPLAY_JOBS", str(jobs))
             session = ReplaySession(persist=False)
             try:
                 pipe = PerformancePipeline(sod_log, FUJITSU, session=session)
                 prints.append([_fingerprint(r)
-                               for r in pipe.run_geometries(geometries)])
+                               for r in pipe.run_geometries(_SWEEP)])
+                assert session._executor.fallbacks == 0
             finally:
                 session.close()
+            stats.append(session.stats)
         assert prints[0] == prints[1]
+        assert stats[0] == stats[1]
+
+    def test_batch_shares_a_bundle_across_geometries(self, sod_log,
+                                                     monkeypatch):
+        """A64FX and Xeon requests over one trace key: one synthesis, one
+        multi-geometry kernel call per pass, serial results exactly."""
+        calls = []
+        multi = session_mod.run_steady_segments_multi
+
+        def spy(geometries, *args, **kwargs):
+            calls.append(len(geometries))
+            return multi(geometries, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "run_steady_segments_multi", spy)
+        machines = (A64FX, XEON_E5_2683V3)
+        session = ReplaySession(persist=False)
+        batched = run_batch([PerformancePipeline(sod_log, GNU, machine=m,
+                                                 session=session)
+                             for m in machines])
+        assert session.stats.synthesis_count == 1
+        assert calls and all(n == 2 for n in calls)
+        for machine, report in zip(machines, batched):
+            serial = PerformancePipeline(sod_log, GNU, machine=machine,
+                                         session=ReplaySession.disabled())
+            assert _fingerprint(report) == _fingerprint(serial.run())
 
 
 class TestExecutorFallback:
@@ -207,6 +236,20 @@ class TestTraceTier:
         ref = [_fingerprint(r) for r in run_batch(
             _batch_pipelines(sod_log, ReplaySession.disabled()))]
         assert cold_prints == ref
+
+    def test_pool_sweep_ships_references(self, tmp_path, sod_log,
+                                         monkeypatch):
+        monkeypatch.setenv("REPRO_REPLAY_JOBS", "2")
+        session = ReplaySession(store_dir=str(tmp_path / "replays"))
+        try:
+            pipe = PerformancePipeline(sod_log, FUJITSU, session=session)
+            pipe.run_geometries(_SWEEP)
+            executor = session._executor
+        finally:
+            session.close()
+        assert executor.fallbacks == 0
+        assert executor.traces_pickled_bytes == 0
+        assert executor.traces_mapped_bytes > 0
 
     def test_trace_cache_off_disables_the_tier(self, tmp_path, sod_log,
                                                monkeypatch):

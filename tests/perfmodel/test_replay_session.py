@@ -106,6 +106,75 @@ class TestSessionEquivalence:
         assert _fingerprint(via) == _fingerprint(ref)
 
 
+#: three distinct L1 DTLB sizes: every sweep point misses every other's
+#: cache entries
+SWEEP = [replace(A64FX.tlb, l1=replace(A64FX.tlb.l1, entries=e, assoc=e))
+         for e in (8, 16, 64)]
+
+
+def _sweep(log, session, engine):
+    return PerformancePipeline(log, FUJITSU, engine=engine,
+                               session=session).run_geometries(SWEEP)
+
+
+def _single(log, session, engine, geometry):
+    return _run(log, FUJITSU, session, engine=engine,
+                machine=replace(A64FX, tlb=geometry))
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+class TestSweepContract:
+    """A geometry sweep is a one-request batch: per-geometry results,
+    counters and cache keys are those of single-geometry runs."""
+
+    def test_sweep_equals_single_runs(self, sod_log, engine):
+        sweep = _sweep(sod_log, ReplaySession(persist=False), engine)
+        for geometry, report in zip(SWEEP, sweep):
+            single = _single(sod_log, ReplaySession.disabled(), engine,
+                             geometry)
+            assert _fingerprint(report) == _fingerprint(single)
+
+    def test_counters_cold_repeat_and_disk(self, tmp_path, sod_log, engine):
+        cold = ReplaySession(store_dir=tmp_path)
+        _sweep(sod_log, cold, engine)
+        stats = cold.stats
+        assert (stats.configs, stats.replays, stats.synthesis_count,
+                stats.trace_store_hits) == (3, 3, 1, 0)
+
+        _sweep(sod_log, cold, engine)
+        assert (stats.configs, stats.replays, stats.memory_hits,
+                stats.synthesis_count) == (6, 3, 3, 1)
+
+        fresh = ReplaySession(store_dir=tmp_path)
+        _sweep(sod_log, fresh, engine)
+        assert (fresh.stats.disk_hits, fresh.stats.replays,
+                fresh.stats.synthesis_count) == (3, 0, 0)
+
+    def test_sweep_warms_single_runs(self, tmp_path, sod_log, engine):
+        sweep = _sweep(sod_log, ReplaySession(store_dir=tmp_path), engine)
+        warm = ReplaySession(store_dir=tmp_path)
+        for geometry, report in zip(SWEEP, sweep):
+            single = _single(sod_log, warm, engine, geometry)
+            assert _fingerprint(single) == _fingerprint(report)
+        assert (warm.stats.disk_hits, warm.stats.replays) == (3, 0)
+
+    def test_single_runs_warm_sweep(self, tmp_path, sod_log, engine):
+        cold = ReplaySession(store_dir=tmp_path)
+        singles = [_single(sod_log, cold, engine, g) for g in SWEEP]
+        warm = ReplaySession(store_dir=tmp_path)
+        sweep = _sweep(sod_log, warm, engine)
+        assert ([_fingerprint(r) for r in sweep]
+                == [_fingerprint(r) for r in singles])
+        assert (warm.stats.disk_hits, warm.stats.replays,
+                warm.stats.synthesis_count) == (3, 0, 0)
+
+    def test_disabled_sweep_synthesizes_once(self, sod_log, engine):
+        session = ReplaySession.disabled()
+        _sweep(sod_log, session, engine)
+        assert (session.stats.configs, session.stats.replays,
+                session.stats.synthesis_count) == (3, 3, 1)
+
+
 class TestPersistence:
     """Cold vs warm store invariance, and corruption recovery."""
 

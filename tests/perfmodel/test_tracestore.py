@@ -155,26 +155,37 @@ class TestRoundtrip:
 
 
 class TestTraceRef:
+    """Pool dispatch turns a unit's (bundle, sections) into what crosses
+    the process boundary: a ref for a stored bundle, traces otherwise."""
+
     def test_payloads_and_resolution(self, tmp_path):
+        from repro.perfmodel.parallel import _for_pool
+
         store = TraceStore(tmp_path)
         stream, fine = _bundle()
         store.save_bundle("k1", stream, fine)
         bundle = store.load_bundle("k1")
-        ref = bundle.stream_payload()
+        sections = tuple(range(len(stream)))
+        ref = _for_pool(("stream", "fast", (), (bundle, sections)))[3]
         assert isinstance(ref, TraceRef)
+        assert ref.nbytes == sum(t.nbytes for t in stream)
         _assert_traces_equal(ref.resolve(), stream)
         for pos, (_, want, _) in enumerate(fine):
-            fref = bundle.fine_payload(pos)
+            unit = ("fine", "fast", (), (bundle, (len(stream) + pos,)))
+            fref = _for_pool(unit)[3]
             assert isinstance(fref, TraceRef)
             _assert_traces_equal(fref.resolve(), [want])
 
     def test_in_memory_bundle_travels_by_value(self):
+        from repro.perfmodel.parallel import _for_pool
         from repro.perfmodel.tracestore import TraceBundle
 
         stream, fine = _bundle()
         bundle = TraceBundle(stream=stream, fine=fine)
-        assert bundle.stream_payload() is stream
-        assert bundle.fine_payload(0) == [fine[0][1]]
+        unit = ("stream", "fast", (), (bundle, tuple(range(len(stream)))))
+        assert _for_pool(unit)[3] == stream
+        unit = ("fine", "fast", (), (bundle, (len(stream),)))
+        assert _for_pool(unit)[3] == [fine[0][1]]
 
     def test_missing_bundle_raises(self, tmp_path):
         ref = TraceRef(root=str(tmp_path), key="gone", sections=(0,),
