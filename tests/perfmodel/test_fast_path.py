@@ -269,7 +269,9 @@ class TestEngineSelection:
     def test_pipeline_accepts_engine(self, small_log):
         pipe = PerformancePipeline(small_log, GNU, engine="scalar")
         assert pipe.engine == "scalar"
-        report = PerformancePipeline(small_log, GNU, engine="fast").run()
+
+    def test_clean_fast_run_records_its_engine(self, small_log):
+        report = PerformancePipeline(small_log, FUJITSU, engine="fast").run()
         assert report.engine == "fast"
         assert report.degradations == {}
 
