@@ -11,10 +11,11 @@ protections real FLASH has:
   and the PAPI counter bank is checked for monotonic, finite totals;
 * **bounded dt-retry** — a tripped guard (or any
   :class:`~repro.util.errors.PhysicsError` escaping a unit's hooks)
-  rolls the step back from an in-memory snapshot and retries at
-  ``dr_dt_retry_factor`` times the timestep, down to the ``dr_dtmin``
-  floor, for at most ``dr_max_retries`` attempts, then raises a
-  structured :class:`StepFailure` carrying every attempt;
+  rolls the step back from a :class:`StepSnapshot` (which rewinds an
+  attached work log too) and retries at ``dr_dt_retry_factor`` times
+  the timestep, down to the ``dr_dtmin`` floor, for at most
+  ``dr_max_retries`` attempts, then raises a structured
+  :class:`StepFailure` carrying every attempt;
 * **auto-checkpointing** — every ``checkpoint_interval_step`` steps
   and/or ``wall_clock_checkpoint`` seconds a rotated checkpoint (depth
   ``checkpoint_keep``) is written through the corruption-safe artifact
@@ -23,9 +24,12 @@ protections real FLASH has:
   write a final checkpoint, and return cleanly with
   ``RunReport.interrupted`` set.
 
-Everything observable about a supervised run lands in the structured
-:class:`RunReport` (JSON-serialisable; the chaos-soak CI job uploads
-it).  See ``docs/resilience.md``.
+The :class:`~repro.mpisim.fabric.Fabric` takes the same
+:class:`StepSnapshot` and runs the same guard set on every rank; only
+its dt-retry policy is its own.  Everything observable about a
+supervised run lands in the structured :class:`RunReport`
+(JSON-serialisable; the chaos-soak CI job uploads it).  See
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -142,6 +146,18 @@ class RunReport:
             tmp.write_text(self.to_json() + "\n")
         return path
 
+    def finalise(self, sim: Simulation, start_wall: float,
+                 kernel=None) -> None:
+        """Close the report on ``sim``'s state (for the fabric, any rank:
+        they run in lockstep), adding the kernel's degradation counts."""
+        self.steps_completed = sim.n_step
+        self.t_final = sim.t
+        self.wall_seconds = time.monotonic() - start_wall
+        if kernel is not None:
+            for kind, count in kernel.degradations.counts.items():
+                self.degradations[kind] = (
+                    self.degradations.get(kind, 0) + count)
+
 
 def step_guards(grid: Grid) -> list[str]:
     """Scan every leaf block's interior for unphysical state.
@@ -168,8 +184,19 @@ def step_guards(grid: Grid) -> list[str]:
 
 
 @dataclass
-class _Snapshot:
-    """Everything a step rollback restores (in-memory, pre-attempt)."""
+class StepSnapshot:
+    """Everything a step rollback restores on one simulation.
+
+    Taken before every guarded step attempt, by the serial supervisor
+    and by each rank of the :class:`~repro.mpisim.fabric.Fabric`: the
+    solution array, tree, blocks and free slots; time, step counter and
+    history length; counter-bank totals and clock; every unit's
+    ``save_state`` dict; the driver RNG; and the ``save_state`` of
+    every step hook that has one (an attached
+    :class:`~repro.perfmodel.workrecord.WorkLog` rewinds its records
+    and delta baselines that way).  :meth:`restore` copies out of the
+    snapshot, so one snapshot can be restored any number of times.
+    """
 
     unk: np.ndarray
     tree: object
@@ -179,7 +206,64 @@ class _Snapshot:
     n_step: int
     history_len: int
     bank_totals: dict
+    bank_time: float
     unit_state: dict[str, dict[str, float]]
+    rng_state: dict | None
+    #: (hook, its saved state) for every step hook with a save_state
+    hook_state: list[tuple[object, object]]
+
+    @classmethod
+    def take(cls, sim: Simulation) -> "StepSnapshot":
+        return cls(
+            unk=sim.grid.unk.copy(),
+            tree=copy.deepcopy(sim.grid.tree),
+            blocks=copy.deepcopy(sim.grid.blocks),
+            free_slots=list(sim.grid._free_slots),
+            t=sim.t,
+            n_step=sim.n_step,
+            history_len=len(sim.history),
+            bank_totals=dict(sim.bank.totals),
+            bank_time=sim.bank.time_s,
+            unit_state={spec.name: dict(spec.save_state(sim, unit))
+                        for spec, unit in sim.scheduled_units()
+                        if spec.save_state is not None},
+            rng_state=(copy.deepcopy(sim.rng.bit_generator.state)
+                       if sim.rng is not None else None),
+            hook_state=[(hook, hook.save_state())
+                        for hook in sim.step_hooks
+                        if hasattr(hook, "save_state")],
+        )
+
+    def restore(self, sim: Simulation) -> None:
+        sim.grid.unk[...] = self.unk
+        sim.grid.tree = copy.deepcopy(self.tree)
+        sim.grid.blocks = copy.deepcopy(self.blocks)
+        sim.grid._free_slots = list(self.free_slots)
+        sim.t = self.t
+        sim.n_step = self.n_step
+        del sim.history[self.history_len:]
+        sim.bank.totals = dict(self.bank_totals)
+        sim.bank.time_s = self.bank_time
+        for spec, unit in sim.scheduled_units():
+            if spec.restore_state is not None and spec.name in self.unit_state:
+                spec.restore_state(sim, unit, self.unit_state[spec.name])
+        if sim.rng is not None and self.rng_state is not None:
+            sim.rng.bit_generator.state = copy.deepcopy(self.rng_state)
+        for hook, state in self.hook_state:
+            hook.restore_state(state)
+
+    def violations(self, sim: Simulation) -> list[str]:
+        """The post-step guard set: :func:`step_guards` on the grid, and
+        every counter finite and no lower than at the snapshot."""
+        out = step_guards(sim.grid)
+        for event, before in self.bank_totals.items():
+            now = sim.bank.totals[event]
+            if not np.isfinite(now):
+                out.append(f"counter {event.name} went non-finite ({now})")
+            elif now < before:
+                out.append(f"counter {event.name} went backwards "
+                           f"({before} -> {now})")
+        return out
 
 
 class RunSupervisor:
@@ -241,50 +325,6 @@ class RunSupervisor:
         kwargs.update(overrides)
         return cls(sim, **kwargs)
 
-    # --- snapshots ------------------------------------------------------------
-    def _snapshot(self) -> _Snapshot:
-        sim = self.sim
-        unit_state = {spec.name: dict(spec.save_state(sim, unit))
-                      for spec, unit in sim.scheduled_units()
-                      if spec.save_state is not None}
-        return _Snapshot(
-            unk=sim.grid.unk.copy(),
-            tree=copy.deepcopy(sim.grid.tree),
-            blocks=copy.deepcopy(sim.grid.blocks),
-            free_slots=list(sim.grid._free_slots),
-            t=sim.t,
-            n_step=sim.n_step,
-            history_len=len(sim.history),
-            bank_totals=dict(sim.bank.totals),
-            unit_state=unit_state,
-        )
-
-    def _restore(self, snap: _Snapshot) -> None:
-        sim = self.sim
-        sim.grid.unk[...] = snap.unk
-        sim.grid.tree = snap.tree
-        sim.grid.blocks = snap.blocks
-        sim.grid._free_slots = list(snap.free_slots)
-        sim.t = snap.t
-        sim.n_step = snap.n_step
-        del sim.history[snap.history_len:]
-        sim.bank.totals = dict(snap.bank_totals)
-        for spec, unit in sim.scheduled_units():
-            if spec.restore_state is not None and spec.name in snap.unit_state:
-                spec.restore_state(sim, unit, snap.unit_state[spec.name])
-
-    def _counter_guards(self, snap: _Snapshot) -> list[str]:
-        """Counters must stay finite and monotonic across a step."""
-        out = []
-        for event, before in snap.bank_totals.items():
-            now = self.sim.bank.totals[event]
-            if not np.isfinite(now):
-                out.append(f"counter {event.name} went non-finite ({now})")
-            elif now < before:
-                out.append(f"counter {event.name} went backwards "
-                           f"({before} -> {now})")
-        return out
-
     # --- checkpointing ----------------------------------------------------------
     def _checkpoint(self, name: str) -> Path | None:
         if self.checkpoint_dir is None:
@@ -314,7 +354,7 @@ class RunSupervisor:
         rejected: list[StepAttempt] = []
         dt: float | None = None
         for _attempt in range(self.max_retries + 1):
-            snap = self._snapshot()
+            snap = StepSnapshot.take(sim)
             try:
                 if dt is None:
                     dt = sim.compute_dt()
@@ -326,7 +366,7 @@ class RunSupervisor:
                     raise GuardViolation(
                         [f"timestep {dt:.6e} below dr_dtmin {self.dtmin:.3e}"])
                 info = sim.step(dt)
-                violations = step_guards(sim.grid) + self._counter_guards(snap)
+                violations = snap.violations(sim)
                 if violations:
                     raise GuardViolation(violations)
                 if rejected:
@@ -335,7 +375,7 @@ class RunSupervisor:
                 self._last_dt = info.dt
                 return info
             except (GuardViolation, PhysicsError) as exc:
-                self._restore(snap)
+                snap.restore(sim)
                 reasons = (list(exc.violations)
                            if isinstance(exc, GuardViolation)
                            else [f"{type(exc).__name__}: {exc}"])
@@ -410,7 +450,7 @@ class RunSupervisor:
                     report.failure = str(exc)
                     path = self._checkpoint(f"chk_failed_{sim.n_step:04d}")
                     report.final_checkpoint = (str(path) if path else None)
-                    self._finalise(report, start_wall)
+                    report.finalise(sim, start_wall, self.kernel)
                     exc.report = report
                     raise
                 if not quiet:
@@ -427,19 +467,10 @@ class RunSupervisor:
         finally:
             for sig, handler in previous_handlers.items():
                 signal.signal(sig, handler)
-        self._finalise(report, start_wall)
+        report.finalise(sim, start_wall, self.kernel)
         return report
-
-    def _finalise(self, report: RunReport, start_wall: float) -> None:
-        report.steps_completed = self.sim.n_step
-        report.t_final = self.sim.t
-        report.wall_seconds = time.monotonic() - start_wall
-        if self.kernel is not None:
-            for kind, count in self.kernel.degradations.counts.items():
-                report.degradations[kind] = (
-                    report.degradations.get(kind, 0) + count)
 
 
 __all__ = ["RunSupervisor", "RunReport", "RetryRecord", "StepAttempt",
-           "StepFailure", "GuardViolation", "step_guards",
+           "StepFailure", "StepSnapshot", "GuardViolation", "step_guards",
            "GUARDED_VARIABLES"]

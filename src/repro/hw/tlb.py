@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hw.a64fx import TLBGeometry
+from repro.hw.a64fx import TLBGeometry, TLBLevelSpec
 from repro.hw.trace import PageTrace
 
 
@@ -646,6 +646,41 @@ def run_segments(geometry: TLBGeometry, traces: list[PageTrace],
             for i, t in enumerate(traces)]
 
 
+def _concat_segments(traces: list[PageTrace], streams: list[int] | None):
+    """The traces' events back to back: pages, VPNs, each event's
+    segment (trace) index, and its stream id (None without ``streams``)."""
+    lengths = np.array([t.n_events for t in traces], dtype=np.int64)
+    pages = np.concatenate([t.page for t in traces])
+    sizes = np.concatenate([t.size for t in traces])
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    stream_arr = None
+    if streams is not None:
+        stream_arr = np.repeat(np.asarray(streams, dtype=np.int64), lengths)
+    return pages, pages // np.asarray(sizes, dtype=np.int64), seg, stream_arr
+
+
+def _steady_stats(traces: list[PageTrace], pages, vpn, seg, stream_arr,
+                  l1_masks: tuple[np.ndarray, np.ndarray],
+                  l2: TLBLevelSpec) -> list[TLBStats]:
+    """Measure-pass per-trace stats from one L1's (warm-up, measure)
+    miss masks.  The L2 replays the L1-miss substreams of both passes
+    back to back, since the warm-up pass's misses warm the L2 just as
+    they do in the scalar replay."""
+    m1, m2 = l1_masks
+    p1 = np.flatnonzero(m1)
+    p2 = np.flatnonzero(m2)
+    pos = np.concatenate((p1, p2))
+    l2_miss = lru_miss_mask(pages[pos], vpn[pos], l2.n_sets, l2.assoc,
+                            None if stream_arr is None else stream_arr[pos])
+    l2_second = l2_miss[p1.size:]
+    l1_counts = np.bincount(seg[p2], minlength=len(traces))
+    l2_counts = np.bincount(seg[p2[l2_second]], minlength=len(traces))
+    return [TLBStats(accesses=t.n_accesses,
+                     l1_misses=int(l1_counts[i]),
+                     l2_misses=int(l2_counts[i]))
+            for i, t in enumerate(traces)]
+
+
 def run_steady_segments(geometry: TLBGeometry, traces: list[PageTrace],
                         streams: list[int] | None = None) -> list[TLBStats]:
     """Steady-state per-trace stats, processing each period only once.
@@ -654,37 +689,16 @@ def run_steady_segments(geometry: TLBGeometry, traces: list[PageTrace],
     through an initially cold TLB — one warm-up pass, one measure pass,
     exactly :meth:`TLBSimulator.run_steady_state` with ``warmup=1`` —
     and reporting the measure pass, but the L1 kernel runs on a single
-    copy of the events (see :func:`_lru_core`).  The L2 level replays the
-    L1-miss substreams of both passes back to back, since the warm-up
-    pass's misses warm the L2 just as they do in the scalar replay.
+    copy of the events (see :func:`_lru_core`).
     """
-    if not traces:
-        return []
-    lengths = np.array([t.n_events for t in traces], dtype=np.int64)
-    if int(lengths.sum()) == 0:
+    if not any(t.n_events for t in traces):
         return [TLBStats(accesses=t.n_accesses) for t in traces]
-    pages = np.concatenate([t.page for t in traces])
-    sizes = np.concatenate([t.size for t in traces])
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    stream_arr = None
-    if streams is not None:
-        stream_arr = np.repeat(np.asarray(streams, dtype=np.int64), lengths)
-    vpn = pages // np.asarray(sizes, dtype=np.int64)
-    g1, g2 = geometry.l1, geometry.l2
-    m1, m2 = _lru_core(pages, vpn, g1.n_sets, g1.assoc, stream_arr,
-                       steady=True)
-    p1 = np.flatnonzero(m1)
-    p2 = np.flatnonzero(m2)
-    pos = np.concatenate((p1, p2))
-    l2_miss = lru_miss_mask(pages[pos], vpn[pos], g2.n_sets, g2.assoc,
-                            None if stream_arr is None else stream_arr[pos])
-    l2_second = l2_miss[p1.size:]
-    l1_counts = np.bincount(seg[p2], minlength=lengths.size)
-    l2_counts = np.bincount(seg[p2[l2_second]], minlength=lengths.size)
-    return [TLBStats(accesses=t.n_accesses,
-                     l1_misses=int(l1_counts[i]),
-                     l2_misses=int(l2_counts[i]))
-            for i, t in enumerate(traces)]
+    pages, vpn, seg, stream_arr = _concat_segments(traces, streams)
+    g1 = geometry.l1
+    masks = _lru_core(pages, vpn, g1.n_sets, g1.assoc, stream_arr,
+                      steady=True)
+    return _steady_stats(traces, pages, vpn, seg, stream_arr, masks,
+                         geometry.l2)
 
 
 def run_steady_segments_multi(
@@ -706,21 +720,10 @@ def run_steady_segments_multi(
     Returns one per-trace stats list per geometry, in geometry order.
     """
     geometries = list(geometries)
-    if not geometries:
-        return []
-    if not traces:
-        return [[] for _ in geometries]
-    lengths = np.array([t.n_events for t in traces], dtype=np.int64)
-    if int(lengths.sum()) == 0:
+    if not any(t.n_events for t in traces):
         return [[TLBStats(accesses=t.n_accesses) for t in traces]
                 for _ in geometries]
-    pages = np.concatenate([t.page for t in traces])
-    sizes = np.concatenate([t.size for t in traces])
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    stream_arr = None
-    if streams is not None:
-        stream_arr = np.repeat(np.asarray(streams, dtype=np.int64), lengths)
-    vpn = pages // np.asarray(sizes, dtype=np.int64)
+    pages, vpn, seg, stream_arr = _concat_segments(traces, streams)
 
     # one shared L1 pass per distinct set count; the distinct
     # associativities within a group are thresholds over its distances
@@ -745,20 +748,8 @@ def run_steady_segments_multi(
             out.append([TLBStats(s.accesses, s.l1_misses, s.l2_misses)
                         for s in cached])
             continue
-        m1, m2 = l1_masks[l1key]
-        p1 = np.flatnonzero(m1)
-        p2 = np.flatnonzero(m2)
-        pos = np.concatenate((p1, p2))
-        l2_miss = lru_miss_mask(
-            pages[pos], vpn[pos], g.l2.n_sets, g.l2.assoc,
-            None if stream_arr is None else stream_arr[pos])
-        l2_second = l2_miss[p1.size:]
-        l1_counts = np.bincount(seg[p2], minlength=lengths.size)
-        l2_counts = np.bincount(seg[p2[l2_second]], minlength=lengths.size)
-        stats = [TLBStats(accesses=t.n_accesses,
-                          l1_misses=int(l1_counts[i]),
-                          l2_misses=int(l2_counts[i]))
-                 for i, t in enumerate(traces)]
+        stats = _steady_stats(traces, pages, vpn, seg, stream_arr,
+                              l1_masks[l1key], g.l2)
         shared[key] = stats
         out.append(stats)
     return out

@@ -88,7 +88,7 @@ class DomainDecomposition:
 
         With more ranks than leaves, trailing ranks would get *empty*
         shards — a real FLASH run refuses such a launch, and every
-        consumer here (``halo_bytes``, ``scaling_model``) would silently
+        consumer here (``halo_traffic``, ``scaling_model``) would silently
         iterate idle ranks.  That is therefore an error unless the
         caller opts in with ``allow_empty=True``, in which case the
         empty-shard contract holds: every rank key exists in
@@ -127,11 +127,6 @@ class DomainDecomposition:
         counts = np.array([len(b) for b in self.assignment.values()], float)
         mean = counts.mean()
         return float(counts.max() / mean) if mean > 0 else 1.0
-
-    def halo_bytes(self, grid: Grid, rank: int, bytes_per_face: int) -> int:
-        """Bytes rank must receive per guard-cell fill (off-rank faces)."""
-        received, _ = self.halo_traffic(grid, bytes_per_face)
-        return received[rank]
 
     def halo_traffic(self, grid: Grid,
                      bytes_per_face: int) -> tuple[list[int], list[int]]:
@@ -273,10 +268,8 @@ def scaling_model(grid: Grid, rank_counts: list[int], *,
         dd = DomainDecomposition.split(grid, p)
         per_rank_blocks = max(len(b) for b in dd.assignment.values())
         compute = per_rank_blocks * seconds_per_block_step
-        halo = max(
-            cost.p2p_time(dd.halo_bytes(grid, r, bytes_per_face), rpn)
-            for r in range(p)
-        )
+        received, _ = dd.halo_traffic(grid, bytes_per_face)
+        halo = max(cost.p2p_time(nbytes, rpn) for nbytes in received)
         reduce_t = cost.allreduce_time(8, p, rpn)
         out[p] = steps * (compute + halo + reduce_t)
     return out

@@ -32,7 +32,8 @@ on disk through the artifact store (:meth:`Fabric.write_checkpoint`,
 one per-rank checkpoint plus a manifest); :meth:`Fabric.restart`
 resumes a multi-rank run bit-identically.  :meth:`Fabric.run_supervised`
 is the distributed analogue of the serial
-:class:`~repro.driver.supervisor.RunSupervisor`: per-step guards with
+:class:`~repro.driver.supervisor.RunSupervisor`: the same per-rank
+:class:`~repro.driver.supervisor.StepSnapshot` and guard set with
 bounded dt-retry, plus *coordinated recovery* — on a rank kill, a
 barrier deadlock (:class:`~repro.util.errors.FabricTimeout`, with
 per-rank stack dumps), or an exhausted retry budget, every rank is
@@ -45,7 +46,6 @@ the recovered run finishes bit-identical to an unfaulted one.
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 import threading
@@ -64,7 +64,7 @@ from repro.driver.supervisor import (
     RunReport,
     StepAttempt,
     StepFailure,
-    step_guards,
+    StepSnapshot,
 )
 from repro.mpisim.comm import CommCostModel, DomainDecomposition, SimComm
 from repro.perfmodel.workrecord import WorkLog
@@ -113,37 +113,18 @@ class _Copy:
 
 
 @dataclass
-class _RankSnapshot:
-    """One rank's share of a coordinated snapshot (cf. the serial
-    supervisor's ``_Snapshot``, plus the fabric-only state: traffic
-    counters, the driver RNG, and the work log's resume point)."""
-
-    unk: np.ndarray
-    tree: object
-    blocks: dict
-    free_slots: list[int]
-    t: float
-    n_step: int
-    history_len: int
-    bank_totals: dict
-    bank_time: float
-    unit_state: dict[str, dict[str, float]]
-    rng_state: dict | None
-    bytes_sent: int
-    bytes_received: int
-    log_len: int
-    log_state: dict
-
-
-@dataclass
 class FabricSnapshot:
-    """A globally consistent cut: every rank at the same step boundary,
-    plus the communicator totals the cut must agree with."""
+    """A globally consistent cut: every rank's
+    :class:`~repro.driver.supervisor.StepSnapshot` at the same step
+    boundary, plus the fabric-only state — per-rank traffic counters
+    and the communicator totals the cut must agree with."""
 
     step: int
     comm_elapsed_s: float
     comm_bytes_moved: int
-    ranks: list[_RankSnapshot] = field(default_factory=list)
+    ranks: list[StepSnapshot] = field(default_factory=list)
+    #: per-rank (bytes_sent, bytes_received)
+    traffic: list[tuple[int, int]] = field(default_factory=list)
 
 
 class Fabric:
@@ -436,69 +417,18 @@ class Fabric:
             step=self.step_count,
             comm_elapsed_s=self.comm.elapsed_s,
             comm_bytes_moved=self.comm.bytes_moved,
-            ranks=[self._rank_snapshot(ctx) for ctx in self.ranks])
-
-    def _rank_snapshot(self, ctx: RankContext) -> _RankSnapshot:
-        sim = ctx.sim
-        unit_state = {spec.name: dict(spec.save_state(sim, unit))
-                      for spec, unit in sim.scheduled_units()
-                      if spec.save_state is not None}
-        return _RankSnapshot(
-            unk=sim.grid.unk.copy(),
-            tree=copy.deepcopy(sim.grid.tree),
-            blocks=copy.deepcopy(sim.grid.blocks),
-            free_slots=list(sim.grid._free_slots),
-            t=sim.t,
-            n_step=sim.n_step,
-            history_len=len(sim.history),
-            bank_totals=dict(sim.bank.totals),
-            bank_time=sim.bank.time_s,
-            unit_state=unit_state,
-            rng_state=(copy.deepcopy(sim.rng.bit_generator.state)
-                       if sim.rng is not None else None),
-            bytes_sent=ctx.bytes_sent,
-            bytes_received=ctx.bytes_received,
-            log_len=(len(ctx.log.steps) if ctx.log is not None else 0),
-            log_state=(dict(ctx.log._delta_state)
-                       if ctx.log is not None else {}))
+            ranks=[StepSnapshot.take(ctx.sim) for ctx in self.ranks],
+            traffic=[(ctx.bytes_sent, ctx.bytes_received)
+                     for ctx in self.ranks])
 
     def restore(self, snap: FabricSnapshot) -> None:
-        """Roll every rank back to a coordinated snapshot.
-
-        A snapshot may be restored more than once (repeated faults
-        between checkpoints), so mutable pieces are copied out of it,
-        never aliased into the live simulations.
-        """
-        for ctx, rsnap in zip(self.ranks, snap.ranks):
-            self._rank_restore(ctx, rsnap)
+        """Roll every rank back to a coordinated snapshot (restorable
+        any number of times: nothing is aliased out of it)."""
+        for ctx, rsnap, traffic in zip(self.ranks, snap.ranks, snap.traffic):
+            rsnap.restore(ctx.sim)
+            ctx.bytes_sent, ctx.bytes_received = traffic
         self.comm.elapsed_s = snap.comm_elapsed_s
         self.comm.bytes_moved = snap.comm_bytes_moved
-
-    def _rank_restore(self, ctx: RankContext, snap: _RankSnapshot) -> None:
-        sim = ctx.sim
-        sim.grid.unk[...] = snap.unk
-        sim.grid.tree = copy.deepcopy(snap.tree)
-        sim.grid.blocks = copy.deepcopy(snap.blocks)
-        sim.grid._free_slots = list(snap.free_slots)
-        sim.t = snap.t
-        sim.n_step = snap.n_step
-        del sim.history[snap.history_len:]
-        sim.bank.totals = dict(snap.bank_totals)
-        sim.bank.time_s = snap.bank_time
-        for spec, unit in sim.scheduled_units():
-            if spec.restore_state is not None and spec.name in snap.unit_state:
-                spec.restore_state(sim, unit, snap.unit_state[spec.name])
-        if sim.rng is not None and snap.rng_state is not None:
-            sim.rng.bit_generator.state = copy.deepcopy(snap.rng_state)
-        ctx.bytes_sent = snap.bytes_sent
-        ctx.bytes_received = snap.bytes_received
-        if ctx.log is not None:
-            # truncate the recorded steps AND rewind the attach hook's
-            # delta baselines — the restored unit counters are the ones
-            # the truncated log last saw, and the next recorded step's
-            # deltas must be computed against them
-            del ctx.log.steps[snap.log_len:]
-            ctx.log._delta_state.update(snap.log_state)
 
     # --- on-disk checkpoints --------------------------------------------------
     def write_checkpoint(self, directory: str | Path) -> Path:
@@ -581,23 +511,16 @@ DegradationLog` instead of failing it.
             sim.grid.owned = ctx.owned
             sim.grid.halo_hook = (
                 lambda axis, r=rank: self._hook(r, axis))
-        old_log = ctx.log
-        ctx.log = None  # the fresh sim has no hook yet; restore below
+        # restore(snap) has rewound the rank's traffic counters and step
+        # hooks (its work log); the hooks move to the new simulation
+        sim.step_hooks = ctx.sim.step_hooks
         ctx.sim = sim
         chk = (checkpoint_dir / f"rank{rank:03d}.npz"
                if checkpoint_dir is not None else None)
         if chk is not None and chk.exists():
             restore_into(sim, chk)
-            ctx.bytes_sent = snap.ranks[rank].bytes_sent
-            ctx.bytes_received = snap.ranks[rank].bytes_received
         else:
-            ctx.log = old_log  # _rank_restore truncates it consistently
-            self._rank_restore(ctx, snap.ranks[rank])
-            ctx.log = None
-        if old_log is not None:
-            del old_log.steps[snap.ranks[rank].log_len:]
-            old_log.rebind(sim)
-            ctx.log = old_log
+            snap.ranks[rank].restore(sim)
         if kernel is not None:
             hugetlb = 2 * MiB
             nbytes = -(-sim.grid.unk.nbytes // hugetlb) * hugetlb
@@ -613,7 +536,8 @@ DegradationLog` instead of failing it.
                       retry_factor: float, max_retries: int) -> None:
         """One lockstep step under per-rank guards with bounded dt-retry.
 
-        Mirrors the serial supervisor's ``guarded_step``: each attempt
+        Mirrors the serial supervisor's ``guarded_step``, with its guard
+        set (grid and counter guards) run on every rank: each attempt
         snapshots the whole fabric first, so a rollback can never tear
         partially exchanged guard cells — either every rank's step
         (including every surrogate refresh) happened, or none did.  A
@@ -637,9 +561,9 @@ DegradationLog` instead of failing it.
                         [f"timestep {dt:.6e} below floor {dtmin:.3e}"])
                 self.step(dt)
                 violations: list[str] = []
-                for ctx in self.ranks:
+                for ctx, rsnap in zip(self.ranks, snap.ranks):
                     violations.extend(f"rank {ctx.rank}: {v}"
-                                      for v in step_guards(ctx.grid))
+                                      for v in rsnap.violations(ctx.sim))
                 if violations:
                     raise GuardViolation(violations)
                 if rejected:
@@ -739,7 +663,7 @@ DegradationLog` instead of failing it.
                     if chk_dir is not None:
                         report.final_checkpoint = str(
                             self.write_checkpoint(chk_dir))
-                    self._finalise(report, start_wall, kernel)
+                    report.finalise(self.ranks[0].sim, start_wall, kernel)
                     exc.report = report
                     raise
                 t0 = time.monotonic()
@@ -760,18 +684,8 @@ DegradationLog` instead of failing it.
         if self.rank_chaos is not None:
             report.rank_faults = [inj.to_json()
                                   for inj in self.rank_chaos.injections]
-        self._finalise(report, start_wall, kernel)
+        report.finalise(self.ranks[0].sim, start_wall, kernel)
         return report
-
-    def _finalise(self, report: RunReport, start_wall: float,
-                  kernel) -> None:
-        report.steps_completed = self.step_count
-        report.t_final = self.ranks[0].sim.t
-        report.wall_seconds = time.monotonic() - start_wall
-        if kernel is not None:
-            for kind, count in kernel.degradations.counts.items():
-                report.degradations[kind] = (
-                    report.degradations.get(kind, 0) + count)
 
 
 __all__ = ["Fabric", "FabricSnapshot", "RankContext", "MANIFEST_SCHEMA"]

@@ -466,42 +466,32 @@ PerformancePipeline.run` would; the replay requests are then handed to
     the work units across the whole batch and may execute them on worker
     processes (``REPRO_REPLAY_JOBS``).  Results are bit-identical to
     running the pipelines one by one — the batch only reorders *where*
-    the pure replay kernels run.
-
-    If the batched path raises, every pipeline reruns serially through
-    its own :meth:`~PerformancePipeline.run`.  Under a shared node
-    kernel (``experiments/scaling.py``) batched launches hold their
-    allocations at the same time and serial ones do not, so a serial
-    rerun can still succeed where the batch failed.  Whether this can
-    happen in practice is unverified.
+    the pure replay kernels run.  A replay error propagates, as it does
+    from :meth:`~PerformancePipeline.run`, after every launched process
+    has exited.
     """
     pipelines = list(pipelines)
-    try:
-        reports: list[PerfReport | None] = [None] * len(pipelines)
-        by_session: dict[int, list[int]] = {}
-        for i, pipe in enumerate(pipelines):
-            by_session.setdefault(id(pipe.session), []).append(i)
-        for idxs in by_session.values():
-            session = pipelines[idxs[0]].session
-            ctxs = []
-            try:
-                requests = []
-                for i in idxs:
-                    pipe = pipelines[i]
-                    ctxs.append(pipe._launch_and_allocate())
-                    requests.append(pipe._request(ctxs[-1], [pipe.machine]))
-                replays = session.replay_batch(requests)
-                for i, ctx, (replay,) in zip(idxs, ctxs, replays):
-                    pipe = pipelines[i]
-                    reports[i] = pipe._finish(pipe.machine, ctx[0], replay)
-            finally:
-                for ctx in ctxs:
-                    ctx[0].exit()
-        return reports  # type: ignore[return-value]
-    except ConfigurationError:
-        raise
-    except Exception:  # noqa: BLE001 — see the docstring
-        return [pipe.run() for pipe in pipelines]
+    reports: list[PerfReport | None] = [None] * len(pipelines)
+    by_session: dict[int, list[int]] = {}
+    for i, pipe in enumerate(pipelines):
+        by_session.setdefault(id(pipe.session), []).append(i)
+    for idxs in by_session.values():
+        session = pipelines[idxs[0]].session
+        ctxs = []
+        try:
+            requests = []
+            for i in idxs:
+                pipe = pipelines[i]
+                ctxs.append(pipe._launch_and_allocate())
+                requests.append(pipe._request(ctxs[-1], [pipe.machine]))
+            replays = session.replay_batch(requests)
+            for i, ctx, (replay,) in zip(idxs, ctxs, replays):
+                pipe = pipelines[i]
+                reports[i] = pipe._finish(pipe.machine, ctx[0], replay)
+        finally:
+            for ctx in ctxs:
+                ctx[0].exit()
+    return reports  # type: ignore[return-value]
 
 
 __all__ = ["PerformancePipeline", "PerfReport", "SynthesisTask",

@@ -49,6 +49,12 @@ class StepRecord:
         return sum(inv.zones for inv in self.invocations)
 
 
+def _eos_counters(sim: Simulation) -> dict[str, int]:
+    eos_work = sim.unit("hydro").work.eos
+    return {"eos_iters": eos_work.newton_iterations,
+            "eos_calls": eos_work.calls}
+
+
 @dataclass
 class WorkLog:
     """Per-step work records plus the mesh geometry they refer to."""
@@ -56,9 +62,8 @@ class WorkLog:
     spec: MeshSpec
     nvar: int
     steps: list[StepRecord] = field(default_factory=list)
-    #: the attach hook's delta baselines (cumulative unit counters at the
-    #: last recorded step) — exposed so a rollback that truncates
-    #: ``steps`` can rewind them too, and a rebind can rebase them
+    #: the step hook's delta baselines: cumulative EOS counters at the
+    #: last recorded step
     _delta_state: dict = field(default_factory=dict, repr=False,
                                compare=False)
     _helmholtz: bool = field(default=True, repr=False, compare=False)
@@ -77,41 +82,39 @@ class WorkLog:
 
     @classmethod
     def attach(cls, sim: Simulation, *, helmholtz_eos: bool = True) -> "WorkLog":
-        """Create a log and hook it onto the simulation's step events."""
-        log = cls(spec=sim.grid.spec, nvar=len(sim.grid.variables))
-        log.rebind(sim, helmholtz_eos=helmholtz_eos)
+        """Create a log and hook it onto the simulation's step events.
+
+        The log is its own step hook.  Its delta baselines start at the
+        simulation's current cumulative counters, so a log attached to a
+        restarted simulation (whose restored work counters are non-zero)
+        does not fold the pre-restart work into its first step.
+        """
+        log = cls(spec=sim.grid.spec, nvar=len(sim.grid.variables),
+                  _delta_state=_eos_counters(sim),
+                  _helmholtz=bool(helmholtz_eos))
+        sim.step_hooks.append(log)
         return log
 
-    def rebind(self, sim: Simulation, *,
-               helmholtz_eos: bool | None = None) -> None:
-        """(Re-)hook this log onto a simulation's step events.
+    def __call__(self, sim: Simulation, info: StepInfo) -> None:
+        """Step hook: record the step with the EOS work done since the
+        last recorded one."""
+        before, self._delta_state = self._delta_state, _eos_counters(sim)
+        now = self._delta_state
+        self.record_step(sim, info, now["eos_calls"] - before["eos_calls"],
+                         now["eos_iters"] - before["eos_iters"],
+                         helmholtz_eos=self._helmholtz)
 
-        Used by :meth:`attach` for the first binding and by the fabric
-        when a failed rank is respawned from a checkpoint: the fresh
-        simulation gets the *same* log, with the delta baselines rebased
-        at its restored cumulative counters — attaching to a restarted
-        simulation (whose restored work counters are non-zero) must not
-        fold the pre-restart work into the first recorded step.
-        """
-        if helmholtz_eos is not None:
-            self._helmholtz = bool(helmholtz_eos)
-        eos_work = sim.unit("hydro").work.eos
-        self._delta_state.clear()
-        self._delta_state.update(eos_iters=eos_work.newton_iterations,
-                                 eos_calls=eos_work.calls)
-        state = self._delta_state
-        log = self
+    def save_state(self) -> tuple[int, dict]:
+        """Rollback state, like a unit's ``save_state``: the number of
+        recorded steps and the delta baselines."""
+        return len(self.steps), dict(self._delta_state)
 
-        def hook(sim: Simulation, info: StepInfo) -> None:
-            eos_work = sim.unit("hydro").work.eos
-            d_iters = eos_work.newton_iterations - state["eos_iters"]
-            d_calls = eos_work.calls - state["eos_calls"]
-            state["eos_iters"] = eos_work.newton_iterations
-            state["eos_calls"] = eos_work.calls
-            log.record_step(sim, info, d_calls, d_iters,
-                            helmholtz_eos=log._helmholtz)
-
-        sim.step_hooks.append(hook)
+    def restore_state(self, state: tuple[int, dict]) -> None:
+        """Rewind to a :meth:`save_state`: drop the steps recorded since
+        and reset the baselines to the restored counters."""
+        n_steps, baselines = state
+        del self.steps[n_steps:]
+        self._delta_state = dict(baselines)
 
     def record_step(self, sim: Simulation, info: StepInfo, eos_calls: int,
                     eos_iters: int, *, helmholtz_eos: bool) -> None:

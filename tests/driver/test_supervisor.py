@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosUnit
+from repro.chaos.soak import build_sim
 from repro.driver.config import RuntimeParameters
 from repro.driver.io import read_checkpoint
 from repro.driver.simulation import Simulation
@@ -11,6 +12,7 @@ from repro.driver.supervisor import (GuardViolation, RunSupervisor,
                                      StepFailure, step_guards)
 from repro.mesh.grid import Grid, MeshSpec
 from repro.mesh.tree import AMRTree
+from repro.perfmodel.workrecord import WorkLog
 from repro.physics.eos import GammaLawEOS
 from repro.physics.hydro.unit import HydroUnit
 from repro.util import artifacts
@@ -158,6 +160,21 @@ class TestRetry:
             sup.run(nend=1)
         # the CFL dt is far below dtmin=1.0: rejected before 50 attempts
         assert len(exc_info.value.attempts) < 50
+
+
+class TestWorkLogRollback:
+    """A rolled-back attempt must leave no step record behind: the
+    snapshot rewinds an attached WorkLog with the simulation."""
+
+    @pytest.mark.parametrize("kind", ["nan", "counter_flip"])
+    def test_log_matches_history_after_rollback(self, kind):
+        sim = build_sim(ChaosUnit(faults=(kind,), start=3, every=1000))
+        log = WorkLog.attach(sim, helmholtz_eos=False)
+        report = RunSupervisor(sim, handle_signals=False).run(nend=6)
+        assert report.guard_trips == 1
+        assert len(log.steps) == sim.n_step == 6
+        assert ([(rec.n, rec.dt) for rec in log.steps]
+                == [(info.n, info.dt) for info in sim.history])
 
 
 class TestCheckpointCadence:

@@ -98,7 +98,8 @@ class TestDecomposition:
         grid = make_grid(nblock=8, max_level=0)
         dd = DomainDecomposition.split(grid, 4)
         face_bytes = 100
-        total_halo = sum(dd.halo_bytes(grid, r, face_bytes) for r in range(4))
+        received, _ = dd.halo_traffic(grid, face_bytes)
+        total_halo = sum(received)
         all_faces = grid.tree.n_leaves * 4 * face_bytes
         assert total_halo < 0.5 * all_faces
 
@@ -206,6 +207,35 @@ class TestScalingModel:
         b = scaling_model(grid, [4], ranks_per_node=48, **kwargs)
         assert a[4] == pytest.approx(b[4])
 
+    def test_one_traffic_pass_per_rank_count(self, monkeypatch):
+        """On a refined tree the model walks the halo once per
+        decomposition and matches the per-rank formula exactly."""
+        grid = make_grid(nblock=4, max_level=2)
+        refine_block(grid, BlockId(0, 0, 0))
+        refine_block(grid, BlockId(1, 2, 2))
+        cost = CommCostModel()
+        spb, face, steps, counts = 1e-2, 640, 3, [1, 2, 3, 4, 7]
+        expected = {}
+        for p in counts:
+            dd = DomainDecomposition.split(grid, p)
+            received, _ = dd.halo_traffic(grid, face)
+            compute = max(len(b) for b in dd.assignment.values()) * spb
+            halo = max(cost.p2p_time(received[r], 1) for r in range(p))
+            expected[p] = steps * (compute + halo
+                                   + cost.allreduce_time(8, p, 1))
+        calls = []
+        traffic = DomainDecomposition.halo_traffic
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n_ranks)
+            return traffic(self, *args, **kwargs)
+
+        monkeypatch.setattr(DomainDecomposition, "halo_traffic", counted)
+        got = scaling_model(grid, counts, seconds_per_block_step=spb,
+                            bytes_per_face=face, steps=steps, cost=cost)
+        assert calls == counts
+        assert got == expected
+
 
 class TestEmptyShardContract:
     def test_more_ranks_than_leaves_rejected(self):
@@ -221,8 +251,9 @@ class TestEmptyShardContract:
         assert sorted(dd.assignment) == list(range(6))
         empty = [r for r, blocks in dd.assignment.items() if not blocks]
         assert empty
+        received, _ = dd.halo_traffic(grid, 100)
         for rank in empty:
-            assert dd.halo_bytes(grid, rank, 100) == 0
+            assert received[rank] == 0
         assert dd.load_imbalance() > 1.0
 
     def test_exact_fit_needs_no_opt_in(self):
@@ -249,13 +280,6 @@ class TestHaloTraffic:
             received, sent = dd.halo_traffic(grid, 64)
             assert sum(received) == sum(sent) > 0
             assert len(received) == len(sent) == n_ranks
-
-    def test_halo_bytes_delegates_to_traffic(self):
-        grid = make_grid(nblock=4, max_level=0)
-        dd = DomainDecomposition.split(grid, 4)
-        received, _ = dd.halo_traffic(grid, 100)
-        for rank in range(4):
-            assert dd.halo_bytes(grid, rank, 100) == received[rank]
 
 
 class TestChargedTimeMonotonicity:

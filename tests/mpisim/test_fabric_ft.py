@@ -277,3 +277,22 @@ class TestBadDtOneRank:
         # block_data is the full padded view, so this bit-identity
         # check covers guard cells too: no tearing anywhere
         assert_fabrics_identical(fab, ref)
+
+
+class TestCounterGuards:
+    """The fabric runs the serial supervisor's counter guards per rank:
+    a NaN written into one rank's counter bank trips a guard and rolls
+    back instead of finishing the run with NaN totals."""
+
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    def test_counter_flip_trips_and_recovers(self, n_ranks):
+        def make_chaos():
+            return ChaosUnit(faults=("counter_flip",), start=2, every=100)
+
+        builder = sedov_builder(chaos_for_build={n_ranks - 1: make_chaos})
+        fab = Fabric(builder, n_ranks)
+        report = fab.run_supervised(nend=4)
+        assert report.guard_trips >= 1
+        assert report.steps_completed == 4
+        for ctx in fab.ranks:
+            assert all(np.isfinite(v) for v in ctx.sim.bank.totals.values())

@@ -266,6 +266,31 @@ class TestTraceTier:
         assert not (tmp_path / "replays" / "traces").exists()
 
 
+class TestBatchErrors:
+    """A batch replay error propagates the way ``run()``'s does: no
+    pipeline reruns on its own, and every launched process has exited."""
+
+    def test_replay_error_propagates(self, sod_log):
+        session = ReplaySession(persist=False)
+        calls = []
+
+        def broken(requests, *, executor=None):
+            calls.append(len(requests))
+            raise RuntimeError("batch replay failed")
+
+        session._replay_batch = broken
+        pipes = _batch_pipelines(sod_log, session)
+        try:
+            with pytest.raises(RuntimeError, match="batch replay failed"):
+                run_batch(pipes)
+        finally:
+            session.close()
+        assert calls == [len(pipes)]
+        for pipe in pipes:
+            assert pipe.kernel.address_spaces == []
+            assert pipe.kernel.pool().allocated == 0
+
+
 class TestLifecycle:
     """Worker pools must not outlive the scope that forked them."""
 
