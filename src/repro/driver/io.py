@@ -21,6 +21,8 @@ from repro.util.errors import ArtifactError
 
 #: embedded checkpoint format version
 _CHECKPOINT_VERSION = 1
+#: the StepInfo fields a checkpoint's history rows carry, in order
+_HISTORY_FIELDS = ("n", "t", "dt", "n_blocks", "n_refined", "n_derefined")
 #: arrays every valid checkpoint must carry
 _CHECKPOINT_KEYS = ("bids", "data", "variables", "spec", "tree_meta",
                     "domain", "periodic", "scalars")
@@ -32,7 +34,7 @@ def collect_run_state(sim) -> dict[str, np.ndarray]:
     Carried inside checkpoints so a resumed run continues bit-identically:
     the PAPI counter bank, every composed unit's registered
     ``save_state`` dict (hydro sweep parity, cumulative work counters,
-    ...), and the driver RNG's bit-generator state.
+    ...), the driver RNG's bit-generator state, and the step history.
     """
     events = sorted(sim.bank.totals, key=lambda e: e.name)
     state: dict[str, np.ndarray] = {
@@ -54,6 +56,11 @@ def collect_run_state(sim) -> dict[str, np.ndarray]:
     if sim.rng is not None:
         state["state/rng"] = np.array(
             json.dumps(sim.rng.bit_generator.state))
+    # one row per step, in StepInfo field order; float64 holds the
+    # integer fields exactly
+    state["state/history"] = np.array(
+        [[getattr(info, f) for f in _HISTORY_FIELDS] for info in sim.history],
+        dtype=np.float64).reshape(-1, len(_HISTORY_FIELDS))
     return state
 
 
@@ -76,6 +83,13 @@ def restore_run_state(sim, state: dict[str, np.ndarray]) -> None:
             spec.restore_state(sim, unit, unit_state[spec.name])
     if "state/rng" in state and sim.rng is not None:
         sim.rng.bit_generator.state = json.loads(str(state["state/rng"]))
+    if "state/history" in state:
+        from repro.driver.simulation import StepInfo
+
+        sim.history[:] = [
+            StepInfo(n=int(n), t=float(t), dt=float(dt), n_blocks=int(nb),
+                     n_refined=int(nr), n_derefined=int(nd))
+            for n, t, dt, nb, nr, nd in state["state/history"]]
 
 
 def write_checkpoint(grid: Grid, path: str | Path, *, time: float = 0.0,

@@ -190,7 +190,7 @@ class StepSnapshot:
     Taken before every guarded step attempt, by the serial supervisor
     and by each rank of the :class:`~repro.mpisim.fabric.Fabric`: the
     solution array, tree, blocks and free slots; time, step counter and
-    history length; counter-bank totals and clock; every unit's
+    step history; counter-bank totals and clock; every unit's
     ``save_state`` dict; the driver RNG; and the ``save_state`` of
     every step hook that has one (an attached
     :class:`~repro.perfmodel.workrecord.WorkLog` rewinds its records
@@ -204,7 +204,7 @@ class StepSnapshot:
     free_slots: list[int]
     t: float
     n_step: int
-    history_len: int
+    history: list
     bank_totals: dict
     bank_time: float
     unit_state: dict[str, dict[str, float]]
@@ -221,7 +221,7 @@ class StepSnapshot:
             free_slots=list(sim.grid._free_slots),
             t=sim.t,
             n_step=sim.n_step,
-            history_len=len(sim.history),
+            history=list(sim.history),
             bank_totals=dict(sim.bank.totals),
             bank_time=sim.bank.time_s,
             unit_state={spec.name: dict(spec.save_state(sim, unit))
@@ -241,7 +241,7 @@ class StepSnapshot:
         sim.grid._free_slots = list(self.free_slots)
         sim.t = self.t
         sim.n_step = self.n_step
-        del sim.history[self.history_len:]
+        sim.history[:] = self.history
         sim.bank.totals = dict(self.bank_totals)
         sim.bank.time_s = self.bank_time
         for spec, unit in sim.scheduled_units():

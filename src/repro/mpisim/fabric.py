@@ -76,8 +76,10 @@ from repro.util.errors import (
     RankKilled,
 )
 
-#: schema tag of the on-disk fabric checkpoint manifest
-MANIFEST_SCHEMA = "repro.fabric-checkpoint/1"
+#: schema tag of the on-disk fabric checkpoint manifest (/2: the rank
+#: files carry the step history; a /1 checkpoint would respawn a rank
+#: with an empty one, so it is refused)
+MANIFEST_SCHEMA = "repro.fabric-checkpoint/2"
 #: manifest file name inside a fabric checkpoint directory
 MANIFEST_NAME = "fabric_manifest.json"
 
@@ -467,8 +469,9 @@ class Fabric:
     def restart(cls, directory: str | Path, builder, **kwargs) -> "Fabric":
         """Rebuild a fabric from a coordinated checkpoint directory,
         resuming the multi-rank run bit-identically: every rank's block
-        data, step/time, unit state (sweep parity, work counters), PAPI
-        bank, and traffic counters, plus the communicator totals."""
+        data, step/time and step history, unit state (sweep parity, work
+        counters), PAPI bank, and traffic counters, plus the communicator
+        totals."""
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())

@@ -7,27 +7,11 @@ import numpy as np
 from repro.util.errors import ConfigurationError
 
 
-def _shift(q: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """q shifted by ``offset`` along ``axis`` (edge-clamped view-copy)."""
-    out = np.empty_like(q)
-    src = [slice(None)] * q.ndim
-    dst = [slice(None)] * q.ndim
-    if offset > 0:
-        src[axis] = slice(None, -offset)
-        dst[axis] = slice(offset, None)
-        edge = [slice(None)] * q.ndim
-        edge[axis] = slice(0, offset)
-        out[tuple(edge)] = np.take(q, [0], axis=axis)
-    elif offset < 0:
-        src[axis] = slice(-offset, None)
-        dst[axis] = slice(None, offset)
-        edge = [slice(None)] * q.ndim
-        edge[axis] = slice(offset, None)
-        out[tuple(edge)] = np.take(q, [-1], axis=axis)
-    else:
-        return q.copy()
-    out[tuple(dst)] = q[tuple(src)]
-    return out
+def along(ndim: int, axis: int, lo: int | None, hi: int | None) -> tuple:
+    """Index taking ``lo:hi`` along ``axis`` and everything elsewhere."""
+    sel = [slice(None)] * ndim
+    sel[axis] = slice(lo, hi)
+    return tuple(sel)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,14 +19,13 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(keep, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def limited_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
-    """Per-cell limited slope of ``q`` along ``axis``.
-
-    Limiters: ``minmod`` (most dissipative), ``mc`` (monotonised central,
-    FLASH's usual choice), ``vanleer``.
-    """
-    dqf = _shift(q, axis, -1) - q  # q[i+1] - q[i]
-    dqb = q - _shift(q, axis, 1)  # q[i] - q[i-1]
+def inner_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
+    """Limited slopes of the cells of ``q`` that have both neighbours
+    along ``axis`` (all but the first and last): one cell shorter at
+    each end than ``q``."""
+    mid = q[along(q.ndim, axis, 1, -1)]
+    dqf = q[along(q.ndim, axis, 2, None)] - mid  # q[i+1] - q[i]
+    dqb = mid - q[along(q.ndim, axis, None, -2)]  # q[i] - q[i-1]
     if limiter == "minmod":
         return _minmod(dqf, dqb)
     if limiter == "mc":
@@ -57,6 +40,18 @@ def limited_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
     raise ConfigurationError(f"unknown limiter {limiter!r}")
 
 
+def limited_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
+    """Per-cell limited slope of ``q`` along ``axis``.
+
+    Limiters: ``minmod`` (most dissipative), ``mc`` (monotonised central,
+    FLASH's usual choice), ``vanleer``.  The two end cells have one
+    neighbour each, and every limiter gives them a zero slope.
+    """
+    slope = np.zeros_like(q)
+    slope[along(q.ndim, axis, 1, -1)] = inner_slopes(q, axis, limiter)
+    return slope
+
+
 def face_states(q: np.ndarray, axis: int, limiter: str = "mc"):
     """Left/right extrapolations of ``q`` to its cell faces:
     ``(q_minus, q_plus)`` where minus/plus are the low/high-face values of
@@ -65,4 +60,4 @@ def face_states(q: np.ndarray, axis: int, limiter: str = "mc"):
     return q - 0.5 * slope, q + 0.5 * slope
 
 
-__all__ = ["limited_slopes", "face_states"]
+__all__ = ["along", "inner_slopes", "limited_slopes", "face_states"]

@@ -26,8 +26,8 @@ from repro.mesh.guardcell import BoundaryConditions, fill_guardcells
 from repro.perfmodel.workrecord import UnitInvocation
 from repro.physics.eos.apply import EosWork, apply_eos
 from repro.physics.hydro.riemann import max_wave_speed
-from repro.physics.hydro.sweep import sweep_blocks
-from repro.util.errors import PhysicsError
+from repro.physics.hydro.sweep import STENCIL_GUARDS, sweep_blocks
+from repro.util.errors import ConfigurationError, PhysicsError
 
 
 @dataclass
@@ -84,6 +84,11 @@ class HydroUnit:
     # --- step -------------------------------------------------------------------
     def step(self, grid: Grid, dt: float) -> HydroWork:
         """Advance all blocks by dt (one sweep per dimension)."""
+        if grid.spec.nguard < STENCIL_GUARDS:
+            raise ConfigurationError(
+                f"hydro needs nguard >= {STENCIL_GUARDS} (the MUSCL-Hancock "
+                f"stencil reads {STENCIL_GUARDS} guard zones past each "
+                f"block edge); the mesh has nguard = {grid.spec.nguard}")
         ndim = grid.spec.ndim
         axes = tuple(range(ndim))
         if self._parity % 2:

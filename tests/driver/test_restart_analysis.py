@@ -55,6 +55,19 @@ class TestRestart:
                 resumed.grid.interior(bid, "velx"),
                 ref.grid.interior(bid, "velx"))
 
+    def test_history_continues(self, tmp_path):
+        """A checkpoint written with ``sim=`` carries the step history:
+        the resumed run's history equals the straight run's."""
+        ref, _ = sod_sim()
+        ref.evolve(nend=6)
+        sim, eos = sod_sim()
+        sim.evolve(nend=4)
+        path = write_checkpoint(sim.grid, tmp_path / "chk.npz", sim=sim)
+        resumed = restart_simulation(path, HydroUnit(eos, cfl=0.6), nrefs=0)
+        assert resumed.history == sim.history
+        resumed.evolve(nend=6)
+        assert resumed.history == ref.history
+
     def test_restart_2d_with_amr_topology(self, tmp_path):
         """A refined 2-d mesh restarts with the same tree and data."""
         tree = AMRTree(ndim=2, nblockx=2, nblocky=2, max_level=2,

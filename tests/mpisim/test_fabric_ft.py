@@ -53,14 +53,51 @@ def sedov_builder(nblockx=4, nblocky=4, *, chaos_for_build=None):
     return build
 
 
+def rank_state(sim) -> dict:
+    """What a ``StepSnapshot`` of ``sim`` captures, in comparable form.
+
+    Left out: the full ``unk`` (the owned shard is compared block by
+    block; the other slots hold halo surrogates, which a respawned rank
+    refreshes lazily) and the counter-bank clock (a standalone run
+    advances it by measured wall time).
+    """
+    return {
+        "t": sim.t,
+        "n_step": sim.n_step,
+        "history": list(sim.history),
+        "leaves": sim.grid.tree.leaves(),
+        "slots": {b: blk.slot for b, blk in sim.grid.blocks.items()},
+        "free_slots": list(sim.grid._free_slots),
+        "bank_totals": dict(sim.bank.totals),
+        "unit_state": {spec.name: dict(spec.save_state(sim, unit))
+                       for spec, unit in sim.scheduled_units()
+                       if spec.save_state is not None},
+        "rng": (sim.rng.bit_generator.state
+                if sim.rng is not None else None),
+        "hook_state": [hook.save_state() for hook in sim.step_hooks
+                       if hasattr(hook, "save_state")],
+    }
+
+
 def assert_fabrics_identical(fab, ref):
-    """Blocks, traffic counters, bank totals, log digests: all exact."""
+    """Every rank exact against the reference: owned blocks, everything
+    :func:`rank_state` holds, traffic counters and log digests.  Units
+    only the faulted run composes (a chaos injector) are skipped; every
+    unit of the reference must be there."""
     assert fab.ranks[0].sim.t == ref.ranks[0].sim.t
+    assert len(fab.ranks) == len(ref.ranks)
     for ctx, rctx in zip(fab.ranks, ref.ranks):
         assert ctx.owned == rctx.owned
         for bid in ctx.owned:
             np.testing.assert_array_equal(
                 ctx.grid.block_data(bid), rctx.grid.block_data(bid))
+        state, ref_state = rank_state(ctx.sim), rank_state(rctx.sim)
+        units, ref_units = state.pop("unit_state"), ref_state.pop("unit_state")
+        for key, value in ref_state.items():
+            assert state[key] == value, f"rank {ctx.rank}: {key} differs"
+        for name, value in ref_units.items():
+            assert units.get(name) == value, (
+                f"rank {ctx.rank}: unit {name} state differs")
         assert ctx.bytes_sent == rctx.bytes_sent
         assert ctx.bytes_received == rctx.bytes_received
         if ctx.log is not None and rctx.log is not None:
@@ -74,6 +111,28 @@ def reference_run(builder, n_ranks, nend):
     ref.attach_worklogs(helmholtz_eos=False)
     ref.evolve(nend=nend)
     return ref
+
+
+class TestRespawnHistory:
+    """A respawned rank resumes with the whole step history, whether it
+    restores from its on-disk checkpoint or from the in-memory
+    snapshot."""
+
+    @pytest.mark.parametrize("on_disk", [True, False],
+                             ids=["checkpoint", "snapshot"])
+    def test_killed_rank_keeps_history(self, tmp_path, on_disk):
+        ref = reference_run(sedov_builder(), 2, 6)
+        fab = Fabric(sedov_builder(), 2)
+        fab.attach_worklogs(helmholtz_eos=False)
+        chaos = RankChaos(faults=("kill_rank",), start=3, every=100,
+                          target_rank=1)
+        report = fab.run_supervised(
+            nend=6, rank_chaos=chaos,
+            checkpoint_dir=tmp_path / "ckpt" if on_disk else None)
+        assert report.rank_restarts == 1
+        assert [len(ctx.sim.history) for ctx in fab.ranks] == [6, 6]
+        for ctx, rctx in zip(fab.ranks, ref.ranks):
+            assert ctx.sim.history == rctx.sim.history
 
 
 class TestCoordinatedRecovery:
@@ -235,6 +294,28 @@ class TestCheckpointRestart:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigurationError):
             Fabric.restart(ckpt, sedov_builder())
+
+    def test_restart_rejects_historyless_schema_1(self, tmp_path):
+        """A /1 checkpoint's rank files carry no step history: refused
+        by name rather than respawning ranks with an empty one."""
+        fab = Fabric(sedov_builder(), 2)
+        fab.evolve(nend=1)
+        ckpt = tmp_path / "ckpt"
+        manifest_path = fab.write_checkpoint(ckpt)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] = "repro.fabric-checkpoint/1"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="checkpoint/1"):
+            Fabric.restart(ckpt, sedov_builder())
+
+    def test_restart_restores_history(self, tmp_path):
+        fab = Fabric(sedov_builder(), 2)
+        fab.evolve(nend=3)
+        fab.write_checkpoint(tmp_path / "ckpt")
+        fab2 = Fabric.restart(tmp_path / "ckpt", sedov_builder())
+        for ctx, ctx2 in zip(fab.ranks, fab2.ranks):
+            assert ctx2.sim.history == ctx.sim.history
+            assert len(ctx2.sim.history) == 3
 
     def test_snapshot_restore_roundtrip_is_exact(self):
         fab = Fabric(sedov_builder(), 2)

@@ -239,6 +239,23 @@ class TestHydroUnit:
         with pytest.raises(PhysicsError):
             HydroUnit(GammaLawEOS(), cfl=1.5)
 
+    @pytest.mark.parametrize("nguard", [0, 1])
+    def test_shallow_guards_rejected(self, nguard):
+        """The MUSCL-Hancock stencil reads two guard zones past each
+        block edge; a shallower mesh is refused before anything runs."""
+        tree = AMRTree(ndim=1, nblockx=2, max_level=0,
+                       domain=((0, 1), (0, 1), (0, 1)))
+        grid = Grid(tree, MeshSpec(ndim=1, nxb=8, nyb=1, nzb=1,
+                                   nguard=nguard, maxblocks=4))
+        eos = GammaLawEOS(gamma=1.4)
+        SodProblem().initialize(grid, eos)
+        before = grid.unk.copy()
+        hydro = HydroUnit(eos)
+        with pytest.raises(ConfigurationError, match="nguard"):
+            hydro.step(grid, 1e-4)
+        np.testing.assert_array_equal(grid.unk, before)
+        assert hydro.work.zone_sweeps == 0
+
     def test_timestep_scales_with_dx(self):
         _, _, _, _, grid, _ = run_sod(t_end=0.0, max_level=1)
         hydro = HydroUnit(GammaLawEOS(gamma=1.4))
