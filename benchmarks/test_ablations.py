@@ -95,7 +95,7 @@ def test_bench_ablation_table_subarrays(benchmark, eos_log):
     assert rates[0] < rates[1] < rates[2]
 
 
-def test_bench_ablation_flux_matching_cost(benchmark):
+def test_bench_ablation_flux_matching_cost(benchmark, monkeypatch):
     """Conservative flux matching at refinement jumps: measure its cost
     against the unmatched sweep (it must be small — and the matched run
     is the only one that conserves)."""
@@ -106,6 +106,7 @@ def test_bench_ablation_flux_matching_cost(benchmark):
     from repro.mesh.refine import refine_block
     from repro.mesh.tree import AMRTree
     from repro.physics.eos import GammaLawEOS
+    from repro.physics.hydro import sweep
     from repro.physics.hydro.unit import HydroUnit
     from repro.setups.sedov import sedov_setup
 
@@ -120,11 +121,15 @@ def test_bench_ablation_flux_matching_cost(benchmark):
         sedov_setup(grid, eos, center=(0.5, 0.5, 0.0))
         return grid, eos
 
+    match_fluxes = sweep._match_fluxes
+
     def run():
         out = {}
         for conserve in (True, False):
+            monkeypatch.setattr(sweep, "_match_fluxes",
+                                match_fluxes if conserve else lambda *args: None)
             grid, eos = build()
-            hydro = HydroUnit(eos, conserve_fluxes=conserve)
+            hydro = HydroUnit(eos)
             t0 = time.perf_counter()
             for _ in range(5):
                 hydro.step(grid, 1e-4)

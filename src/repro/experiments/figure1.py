@@ -52,22 +52,6 @@ def figure1_data(eos_table: TableResult, hydro_table: TableResult) -> Figure1Dat
     )
 
 
-def figure1_from_logs(eos_log, hydro_log, *, quick: bool = False,
-                      session=None) -> Figure1Data:
-    """Standalone Figure 1: rerun both tables through the replay session.
-
-    On a warm session store this costs only the pricing — the table
-    replays (probes included) are cache hits — so regenerating just the
-    figure no longer pays for two tables' worth of TLB simulation.
-    """
-    from repro.experiments.tables import run_table
-
-    return figure1_data(
-        run_table("eos", eos_log, quick=quick, session=session),
-        run_table("hydro", hydro_log, quick=quick, session=session),
-    )
-
-
 def render_figure1(data: Figure1Data, width: int = 48) -> str:
     """ASCII bar chart: EOS bars (#, blue in the paper) and 3-d Hydro
     bars (=, red in the paper), one pair per measure."""
@@ -92,5 +76,5 @@ def render_figure1(data: Figure1Data, width: int = 48) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["figure1_data", "figure1_from_logs", "render_figure1",
+__all__ = ["figure1_data", "render_figure1",
            "Figure1Data", "FIGURE1_MEASURES"]

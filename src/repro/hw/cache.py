@@ -1,10 +1,11 @@
-"""Cache-aware DRAM traffic accounting.
+"""Cache-aware DRAM traffic of data-dependent table gathers.
 
 The cycle model needs *DRAM bytes moved*, not loads issued.  Rather than
 simulate the caches line-by-line (the TLB is the paper's subject, not the
-caches), this module provides an analytic model good enough for bandwidth
-accounting: data streams with working sets that fit in cache pay cold
-traffic once; larger working sets pay full traffic every pass.
+caches), :meth:`CacheModel.gather_traffic` prices the EOS and flame
+table lookups analytically: every gather drags in a whole cache line,
+and the share of the table that stays resident in cache is pulled from
+DRAM only once.
 """
 
 from __future__ import annotations
@@ -18,28 +19,6 @@ class CacheModel:
 
     cache_bytes: int
     line_bytes: int = 256  # A64FX cache line
-
-    def dram_traffic(
-        self,
-        bytes_touched: int,
-        working_set: int,
-        passes: int = 1,
-    ) -> int:
-        """DRAM bytes for ``passes`` sweeps over ``working_set`` bytes,
-        touching ``bytes_touched`` per pass.
-
-        * working set fits in cache -> cold traffic only (first pass);
-        * working set >> cache -> every pass pays full traffic;
-        * in between -> the cached fraction is spared on repeat passes.
-        """
-        if bytes_touched < 0 or working_set < 0 or passes < 1:
-            raise ValueError("negative traffic makes no sense")
-        if working_set == 0 or bytes_touched == 0:
-            return 0
-        hit_fraction = min(self.cache_bytes / working_set, 1.0)
-        cold = bytes_touched
-        repeat = int(bytes_touched * (1.0 - hit_fraction)) * (passes - 1)
-        return cold + repeat
 
     def gather_traffic(self, n_gathers: int, element_bytes: int,
                        table_bytes: int) -> int:

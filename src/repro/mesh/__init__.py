@@ -19,7 +19,6 @@ from repro.mesh.grid import Grid, MeshSpec, VariableRegistry
 from repro.mesh.layout import UnkLayout
 from repro.mesh.guardcell import fill_guardcells
 from repro.mesh.refine import loehner_error, refine_pass
-from repro.mesh.flux import FluxRegister
 
 __all__ = [
     "Block",
@@ -32,5 +31,4 @@ __all__ = [
     "fill_guardcells",
     "loehner_error",
     "refine_pass",
-    "FluxRegister",
 ]

@@ -193,11 +193,12 @@ class Grid:
 
     # --- integrals ------------------------------------------------------------------
     def total(self, name: str, weight: str | None = "dens") -> float:
-        """Domain integral of a variable (mass-weighted by default).
+        """Domain integral ``sum(q * w * V)`` of variable ``q = name``
+        over the leaf interiors, weighted by ``w = weight`` (density by
+        default, none if ``weight`` is None).
 
-        ``total('dens', weight=None)`` is total mass / volume... the
-        common uses are ``total('dens', None)`` -> sum rho*V = mass and
-        ``total('ener')`` -> sum rho*E*V = total energy.
+        ``total('dens', weight=None)`` is the total mass (sum rho*V), and
+        ``total('ener')`` the total energy (sum rho*E*V).
         """
         acc = 0.0
         for block in self.leaf_blocks():

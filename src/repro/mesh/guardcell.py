@@ -33,6 +33,9 @@ BC_OUTFLOW = "outflow"
 BC_REFLECT = "reflect"
 BC_PERIODIC = "periodic"
 
+#: the velocity variable normal to each axis (flipped by a reflecting face)
+_VELOCITY_VARS = ("velx", "vely", "velz")
+
 
 @dataclass(frozen=True)
 class BoundaryConditions:
@@ -58,8 +61,7 @@ def _active_dims(grid: Grid) -> tuple[int, ...]:
     return tuple(range(grid.spec.ndim))
 
 
-def fill_guardcells(grid: Grid, bc: BoundaryConditions | None = None,
-                    velocity_vars: tuple[str, ...] = ("velx", "vely", "velz")) -> None:
+def fill_guardcells(grid: Grid, bc: BoundaryConditions | None = None) -> None:
     """Fill all guard cells of all leaf blocks."""
     bc = bc or BoundaryConditions()
     g = grid.spec.nguard
@@ -78,11 +80,11 @@ def fill_guardcells(grid: Grid, bc: BoundaryConditions | None = None,
             grid.halo_hook(axis)
         for block in grid.leaf_blocks():
             for direction in (-1, 1):
-                _fill_face(grid, block, axis, direction, bc, velocity_vars)
+                _fill_face(grid, block, axis, direction, bc)
 
 
 def _fill_face(grid: Grid, block: Block, axis: int, direction: int,
-               bc: BoundaryConditions, velocity_vars: tuple[str, ...]) -> None:
+               bc: BoundaryConditions) -> None:
     g = grid.spec.nguard
     n_a = grid.spec.interior_zones[axis]
     data = grid.block_data(block)
@@ -97,8 +99,7 @@ def _fill_face(grid: Grid, block: Block, axis: int, direction: int,
 
     if kind == "boundary":
         side = 0 if direction < 0 else 1
-        _apply_physical_bc(grid, data, axis, direction, bc.for_axis(axis)[side],
-                           velocity_vars)
+        _apply_physical_bc(grid, data, axis, direction, bc.for_axis(axis)[side])
         return
 
     if kind == "leaf":
@@ -123,7 +124,7 @@ def _fill_face(grid: Grid, block: Block, axis: int, direction: int,
 
 
 def _apply_physical_bc(grid: Grid, data: np.ndarray, axis: int, direction: int,
-                       kind: str, velocity_vars: tuple[str, ...]) -> None:
+                       kind: str) -> None:
     g = grid.spec.nguard
     n_a = grid.spec.interior_zones[axis]
     nd = data.ndim
@@ -149,7 +150,7 @@ def _apply_physical_bc(grid: Grid, data: np.ndarray, axis: int, direction: int,
             mirrored = np.flip(src, axis=axis + 1)
             data[_sl(nd, axis, slice(g + n_a, g + n_a + g))] = mirrored
         # flip the normal velocity component
-        vname = velocity_vars[axis]
+        vname = _VELOCITY_VARS[axis]
         if vname in grid.variables:
             v = grid.variables.index(vname)
             if direction < 0:

@@ -66,57 +66,6 @@ class UnkLayout:
                 + np.asarray(j, np.int64) * sj + np.asarray(k, np.int64) * sk
                 + np.asarray(b, np.int64) * sb)
 
-    # --- canonical access patterns ----------------------------------------------
-    def zone_gather_offsets(self, slot: int, variables: np.ndarray) -> np.ndarray:
-        """Offsets for gathering ``variables`` of every interior zone of a
-        block, zone-by-zone (the EOS call pattern: all thermodynamic
-        variables of zone (i,j,k), then zone (i+1,j,k), ...)."""
-        sx, sy, sz = self.spec.interior_slices()
-        ii = np.arange(sx.start, sx.stop, dtype=np.int64)
-        jj = np.arange(sy.start, sy.stop, dtype=np.int64)
-        kk = np.arange(sz.start, sz.stop, dtype=np.int64)
-        v = np.asarray(variables, dtype=np.int64)
-        # order: v fastest, then i, j, k (Fortran loop nest)
-        off = self.offset(
-            v[:, None, None, None],
-            ii[None, :, None, None],
-            jj[None, None, :, None],
-            kk[None, None, None, :],
-            slot,
-        )
-        return off.reshape(-1, order="F")
-
-    def sweep_offsets(self, slot: int, variables: np.ndarray, axis: int,
-                      include_guards: bool = True) -> np.ndarray:
-        """Offsets for a directional stencil sweep over a block.
-
-        The sweep reads each variable's padded plane in natural (Fortran)
-        memory order — what a hydro x/y/z sweep does per block.  For y/z
-        sweeps the *memory* order is identical (the code still loads the
-        same panel); the TLB cares about pages, and page order within one
-        block barely depends on the sweep axis, so one canonical order
-        per block is the honest model.
-        """
-        nx, ny, nz = self.spec.padded_shape
-        if not include_guards:
-            sx, sy, sz = self.spec.interior_slices()
-            ii = np.arange(sx.start, sx.stop, dtype=np.int64)
-            jj = np.arange(sy.start, sy.stop, dtype=np.int64)
-            kk = np.arange(sz.start, sz.stop, dtype=np.int64)
-        else:
-            ii = np.arange(nx, dtype=np.int64)
-            jj = np.arange(ny, dtype=np.int64)
-            kk = np.arange(nz, dtype=np.int64)
-        v = np.asarray(variables, dtype=np.int64)
-        off = self.offset(
-            v[:, None, None, None],
-            ii[None, :, None, None],
-            jj[None, None, :, None],
-            kk[None, None, None, :],
-            slot,
-        )
-        return off.reshape(-1, order="F")
-
     def block_panel_range(self, slot: int) -> tuple[int, int]:
         """(start, stop) byte range of one block's panel."""
         start = int(self.offset(0, 0, 0, 0, slot))

@@ -146,13 +146,6 @@ class TraceBuilder:
         return PageTrace.from_accesses(np.concatenate(pages),
                                        np.concatenate(sizes))
 
-    def stream_step_trace(self, rec: StepRecord) -> PageTrace:
-        """Whole-step stream trace (all invocations back to back)."""
-        traces = [self.invocation_stream_trace(rec, inv)
-                  for inv in rec.invocations]
-        out = PageTrace.empty()
-        return out.concat(*traces) if traces else out
-
     # --- fine trace -------------------------------------------------------------------
     def _zone_walk_offsets(self, slot: int, axis: int | None) -> np.ndarray:
         """Per-zone unk byte offsets in the order the unit visits zones.

@@ -8,17 +8,12 @@ with the same memory access structure, which is what the reproduction
 needs (DESIGN.md section 2).
 """
 
-from repro.physics.hydro.state import conserved_from_primitive, primitive_from_conserved
 from repro.physics.hydro.riemann import hllc_flux
-from repro.physics.hydro.reconstruct import limited_slopes
 from repro.physics.hydro.sweep import sweep_blocks
 from repro.physics.hydro.unit import HydroUnit
 
 __all__ = [
-    "conserved_from_primitive",
-    "primitive_from_conserved",
     "hllc_flux",
-    "limited_slopes",
     "sweep_blocks",
     "HydroUnit",
 ]

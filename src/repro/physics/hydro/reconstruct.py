@@ -22,7 +22,11 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inner_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
     """Limited slopes of the cells of ``q`` that have both neighbours
     along ``axis`` (all but the first and last): one cell shorter at
-    each end than ``q``."""
+    each end than ``q``.
+
+    Limiters: ``minmod`` (most dissipative), ``mc`` (monotonised central,
+    FLASH's usual choice), ``vanleer``.
+    """
     mid = q[along(q.ndim, axis, 1, -1)]
     dqf = q[along(q.ndim, axis, 2, None)] - mid  # q[i+1] - q[i]
     dqb = mid - q[along(q.ndim, axis, None, -2)]  # q[i] - q[i-1]
@@ -40,24 +44,4 @@ def inner_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
     raise ConfigurationError(f"unknown limiter {limiter!r}")
 
 
-def limited_slopes(q: np.ndarray, axis: int, limiter: str = "mc") -> np.ndarray:
-    """Per-cell limited slope of ``q`` along ``axis``.
-
-    Limiters: ``minmod`` (most dissipative), ``mc`` (monotonised central,
-    FLASH's usual choice), ``vanleer``.  The two end cells have one
-    neighbour each, and every limiter gives them a zero slope.
-    """
-    slope = np.zeros_like(q)
-    slope[along(q.ndim, axis, 1, -1)] = inner_slopes(q, axis, limiter)
-    return slope
-
-
-def face_states(q: np.ndarray, axis: int, limiter: str = "mc"):
-    """Left/right extrapolations of ``q`` to its cell faces:
-    ``(q_minus, q_plus)`` where minus/plus are the low/high-face values of
-    *each cell* (not yet paired across the interface)."""
-    slope = limited_slopes(q, axis, limiter)
-    return q - 0.5 * slope, q + 0.5 * slope
-
-
-__all__ = ["along", "inner_slopes", "limited_slopes", "face_states"]
+__all__ = ["along", "inner_slopes"]

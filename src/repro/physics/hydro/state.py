@@ -1,84 +1,35 @@
-"""Primitive/conserved state conversion with positivity floors.
+"""Positivity floors of the hydro state, and which stage applies each.
 
-State arrays are dicts of NumPy arrays sharing one shape:
+The sweep (:mod:`repro.physics.hydro.sweep`) works on primitives
+(``dens``, ``velx/vely/velz``, ``pres``, ``game``) and conserved
+quantities (``dens``, momentum ``mom*``, total energy density ``ener``).
 
-* primitive: ``dens``, ``velx/vely/velz``, ``pres``, plus ``game``
-  (energy gamma: P = (game-1) rho eint) and any passive mass scalars;
-* conserved: ``dens``, momentum ``mom*``, total energy density ``ener``
-  (rho * (eint + v^2/2)), plus ``rho * scalar``.
+* the sweep floors density at :data:`SMALL_DENS` and pressure at
+  :data:`SWEEP_SMALL_PRES` on the primitives it gathers, and density,
+  internal energy (:data:`SMALL_EINT`) and pressure again when it turns
+  updated conserved quantities back into primitives;
+* the HLLC solver (:func:`repro.physics.hydro.riemann.hllc_flux`)
+  floors the left and right states' density at :data:`SMALL_DENS` and
+  pressure at :data:`SMALL_PRES` before it estimates wave speeds.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 #: default floors, in CGS — generous enough for both test problems
 SMALL_DENS = 1.0e-12
 SMALL_PRES = 1.0e-12
 SMALL_EINT = 1.0e-12
+#: the sweep's pressure floor, far below :data:`SMALL_PRES`: it only
+#: keeps gathered and updated pressures positive
+SWEEP_SMALL_PRES = 1.0e-30
 
 VELS = ("velx", "vely", "velz")
 
 
-def conserved_from_primitive(prim: dict[str, np.ndarray],
-                             species: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """Primitive -> conserved. ``game`` closes the energy equation."""
-    dens = prim["dens"]
-    eint = prim["pres"] / ((prim["game"] - 1.0) * dens)
-    ke = 0.5 * (prim["velx"] ** 2 + prim["vely"] ** 2 + prim["velz"] ** 2)
-    cons = {
-        "dens": dens.copy(),
-        "momx": dens * prim["velx"],
-        "momy": dens * prim["vely"],
-        "momz": dens * prim["velz"],
-        "ener": dens * (eint + ke),
-    }
-    for name in species:
-        cons[name] = dens * prim[name]
-    return cons
-
-
-def primitive_from_conserved(cons: dict[str, np.ndarray],
-                             game: np.ndarray,
-                             species: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """Conserved -> primitive with floors (returns a fresh dict).
-
-    ``game`` is carried through unchanged; callers refresh it with an EOS
-    call afterwards.
-    """
-    dens = np.maximum(cons["dens"], SMALL_DENS)
-    velx = cons["momx"] / dens
-    vely = cons["momy"] / dens
-    velz = cons["momz"] / dens
-    ke = 0.5 * (velx**2 + vely**2 + velz**2)
-    eint = np.maximum(cons["ener"] / dens - ke, SMALL_EINT)
-    pres = np.maximum((game - 1.0) * dens * eint, SMALL_PRES)
-    prim = {
-        "dens": dens,
-        "velx": velx,
-        "vely": vely,
-        "velz": velz,
-        "pres": pres,
-        "game": np.array(game, copy=True),
-    }
-    for name in species:
-        prim[name] = np.clip(cons[name] / dens, 0.0, 1.0)
-    return prim
-
-
-def specific_total_energy(prim: dict[str, np.ndarray]) -> np.ndarray:
-    """rho-specific total energy E = eint + v^2/2 from primitives."""
-    eint = prim["pres"] / ((prim["game"] - 1.0) * prim["dens"])
-    ke = 0.5 * (prim["velx"] ** 2 + prim["vely"] ** 2 + prim["velz"] ** 2)
-    return eint + ke
-
-
 __all__ = [
-    "conserved_from_primitive",
-    "primitive_from_conserved",
-    "specific_total_energy",
     "SMALL_DENS",
     "SMALL_PRES",
     "SMALL_EINT",
+    "SWEEP_SMALL_PRES",
     "VELS",
 ]

@@ -31,7 +31,7 @@ from repro.mesh.grid import Grid
 from repro.mesh.prolong import restrict_fluxes
 from repro.physics.hydro.reconstruct import along, inner_slopes
 from repro.physics.hydro.riemann import hllc_flux
-from repro.physics.hydro.state import SMALL_DENS, SMALL_EINT, VELS
+from repro.physics.hydro.state import SMALL_DENS, SMALL_EINT, SWEEP_SMALL_PRES, VELS
 
 PRIM_VARS = ("dens", "velx", "vely", "velz", "pres", "game")
 CONS_KEYS = ("dens", "momx", "momy", "momz", "ener")
@@ -58,7 +58,7 @@ def _gather(grid: Grid, slots: list[int], names, window) -> dict[str, np.ndarray
 def _floor(prim) -> None:
     """Positivity floors on gathered primitives (in place)."""
     np.maximum(prim["dens"], SMALL_DENS, out=prim["dens"])
-    np.maximum(prim["pres"], 1e-30, out=prim["pres"])
+    np.maximum(prim["pres"], SWEEP_SMALL_PRES, out=prim["pres"])
     np.clip(prim["game"], 1.01, 3.0, out=prim["game"])
 
 
@@ -109,7 +109,7 @@ def _prim_from_cons(cons, game, species):
     }
     ke = 0.5 * (out["velx"] ** 2 + out["vely"] ** 2 + out["velz"] ** 2)
     eint = np.maximum(cons["ener"] / rho - ke, SMALL_EINT)
-    out["pres"] = np.maximum((game - 1.0) * rho * eint, 1e-30)
+    out["pres"] = np.maximum((game - 1.0) * rho * eint, SWEEP_SMALL_PRES)
     for s in species:
         out[s] = np.clip(cons[s] / rho, 0.0, 1.0)
     return out, eint, ke
@@ -148,8 +148,7 @@ def _face_fluxes(prim, axis, lam, species, limiter):
 
 
 def sweep_blocks(grid: Grid, dt: float, axis: int,
-                 species: tuple[str, ...] = (), limiter: str = "mc",
-                 conserve_fluxes: bool = True) -> None:
+                 species: tuple[str, ...] = (), limiter: str = "mc") -> None:
     """One directional sweep updating every leaf block in place.
 
     Requires guard cells to be freshly filled, at least
@@ -187,8 +186,7 @@ def sweep_blocks(grid: Grid, dt: float, axis: int,
             flux[k, ..., c] = f[key]
 
     # --- flux matching at refinement jumps ---------------------------------------
-    if conserve_fluxes:
-        _match_fluxes(grid, blocks, flux, axis)
+    _match_fluxes(grid, blocks, flux, axis)
 
     # --- pass 2: conservative update + write back, chunk by chunk ---------------
     lo, hi = along(4, axis, 0, n_a), along(4, axis, 1, None)

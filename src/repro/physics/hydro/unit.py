@@ -46,7 +46,6 @@ class HydroUnit:
                  bc: BoundaryConditions | None = None,
                  species: tuple[str, ...] = (),
                  composition=None,
-                 conserve_fluxes: bool = True,
                  instrumentation=None) -> None:
         if not 0.0 < cfl <= 1.0:
             raise PhysicsError("CFL number must be in (0, 1]")
@@ -56,7 +55,6 @@ class HydroUnit:
         self.bc = bc or BoundaryConditions()
         self.species = tuple(species)
         self.composition = composition
-        self.conserve_fluxes = conserve_fluxes
         #: optional PAPI-style region instrumentation
         #: (:class:`repro.papi.instrument.PapiInstrumentation`): brackets
         #: the hydro sweeps and EOS calls the way the paper's runs did
@@ -103,8 +101,7 @@ class HydroUnit:
             if inst is not None:
                 inst.begin("hydro")
             sweep_blocks(grid, dt, axis, species=self.species,
-                         limiter=self.limiter,
-                         conserve_fluxes=self.conserve_fluxes)
+                         limiter=self.limiter)
             if inst is not None:
                 inst.end("hydro")
             step_work.zone_sweeps += (len(grid.leaf_blocks())

@@ -86,22 +86,17 @@ class TestCycleModel:
 
 class TestCacheModel:
     def test_fits_in_cache_pays_cold_only(self):
+        """A table that fits in cache is pulled from DRAM once, however
+        many gathers read it."""
         cache = CacheModel(cache_bytes=8 * MiB)
-        assert cache.dram_traffic(1 * MiB, working_set=1 * MiB, passes=10) == 1 * MiB
+        assert cache.gather_traffic(10**7, 8, table_bytes=1 * MiB) == 1 * MiB
 
     def test_streaming_pays_every_pass(self):
+        """A table far larger than the cache costs about one line per
+        gather."""
         cache = CacheModel(cache_bytes=8 * MiB)
-        traffic = cache.dram_traffic(100 * MiB, working_set=100 * MiB, passes=3)
-        assert traffic > 2.5 * 100 * MiB
-
-    def test_zero_bytes(self):
-        cache = CacheModel(cache_bytes=8 * MiB)
-        assert cache.dram_traffic(0, working_set=0) == 0
-
-    def test_negative_rejected(self):
-        cache = CacheModel(cache_bytes=8 * MiB)
-        with pytest.raises(ValueError):
-            cache.dram_traffic(-1, working_set=1)
+        traffic = cache.gather_traffic(10**6, 8, table_bytes=512 * MiB)
+        assert traffic > 0.98 * 10**6 * cache.line_bytes
 
     def test_gather_traffic_resident_table(self):
         cache = CacheModel(cache_bytes=8 * MiB)

@@ -1,6 +1,5 @@
 """Tests for the Grid/unk container and the UnkLayout stride model."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,27 +140,6 @@ class TestUnkLayout:
         r0 = layout.block_panel_range(0)
         r1 = layout.block_panel_range(1)
         assert r0[1] == r1[0]
-
-    def test_zone_gather_order(self):
-        """Gather pattern: variables contiguous within a zone, zones in
-        Fortran order."""
-        spec = MeshSpec(ndim=2, nxb=4, nyb=4, nguard=2, maxblocks=2)
-        layout = UnkLayout(nvar=3, spec=spec)
-        offs = layout.zone_gather_offsets(0, np.arange(3))
-        assert len(offs) == 3 * 16
-        # first three offsets: vars 0..2 of the first interior zone
-        first = layout.offset(np.arange(3), 2, 2, 0, 0)
-        assert (offs[:3] == first).all()
-        # strictly increasing within the zone (contiguity)
-        assert offs[1] - offs[0] == 8
-
-    def test_sweep_offsets_cover_panel(self):
-        spec = MeshSpec(ndim=2, nxb=4, nyb=4, nguard=2, maxblocks=2)
-        layout = UnkLayout(nvar=3, spec=spec)
-        offs = layout.sweep_offsets(1, np.arange(3), axis=0)
-        lo, hi = layout.block_panel_range(1)
-        assert offs.min() >= lo
-        assert offs.max() < hi
 
     @given(v=st.integers(0, 2), i=st.integers(0, 7), j=st.integers(0, 7),
            b=st.integers(0, 3))

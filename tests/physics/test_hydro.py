@@ -10,7 +10,8 @@ from repro.mesh.refine import refine_block
 from repro.mesh.tree import AMRTree
 from repro.physics.eos import GammaLawEOS
 from repro.physics.eos.apply import apply_eos
-from repro.physics.hydro.reconstruct import face_states, limited_slopes
+from repro.physics.hydro import sweep
+from repro.physics.hydro.reconstruct import inner_slopes
 from repro.physics.hydro.riemann import hllc_flux, max_wave_speed
 from repro.physics.hydro.unit import HydroUnit
 from repro.setups.sod import SodProblem, sod_exact
@@ -25,43 +26,51 @@ def make_state(rho, u, p, gamma=1.4, n=8):
     }
 
 
+def face_values(q, limiter="mc"):
+    """Low/high face values of the cells of ``q`` with both neighbours,
+    as the sweep builds them from :func:`inner_slopes`."""
+    slope = 0.5 * inner_slopes(q, 0, limiter)
+    return q[1:-1] - slope, q[1:-1] + slope
+
+
 class TestReconstruct:
     def test_constant_has_zero_slope(self):
         q = np.full((10, 4, 1), 3.0)
-        assert np.allclose(limited_slopes(q, 0), 0.0)
+        assert np.allclose(inner_slopes(q, 0), 0.0)
 
     def test_linear_slope_recovered(self):
         q = np.arange(10.0).reshape(10, 1, 1)
-        s = limited_slopes(q, 0, "mc")
-        assert np.allclose(s[1:-1], 1.0)
+        s = inner_slopes(q, 0, "mc")
+        assert s.shape == (8, 1, 1)
+        assert np.allclose(s, 1.0)
 
     def test_limiter_flattens_extrema(self):
         q = np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1)
         for lim in ("minmod", "mc", "vanleer"):
-            s = limited_slopes(q, 0, lim)
-            assert s[1, 0, 0] == 0.0
+            s = inner_slopes(q, 0, lim)
+            assert s[0, 0, 0] == 0.0
 
     def test_unknown_limiter(self):
         with pytest.raises(ConfigurationError):
-            limited_slopes(np.zeros((4, 1, 1)), 0, "superbee9000")
+            inner_slopes(np.zeros((4, 1, 1)), 0, "superbee9000")
 
     def test_face_states_bracket_cell(self):
         q = np.array([1.0, 2.0, 4.0, 8.0]).reshape(4, 1, 1)
-        lo, hi = face_states(q, 0)
-        assert (lo <= q.reshape(4, 1, 1) + 1e-14).all()
-        assert (hi >= q.reshape(4, 1, 1) - 1e-14).all()
+        lo, hi = face_values(q)
+        assert (lo <= q[1:-1] + 1e-14).all()
+        assert (hi >= q[1:-1] - 1e-14).all()
 
     @settings(max_examples=40)
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=12))
     def test_tvd_property(self, values):
         """Limited face values never exceed neighbour cell ranges."""
         q = np.array(values).reshape(-1, 1, 1)
-        lo, hi = face_states(q, 0, "mc")
+        lo, hi = face_values(q, "mc")
         for i in range(1, len(values) - 1):
             lo_n = min(values[i - 1], values[i], values[i + 1])
             hi_n = max(values[i - 1], values[i], values[i + 1])
-            assert lo_n - 1e-9 <= lo[i, 0, 0] <= hi_n + 1e-9
-            assert lo_n - 1e-9 <= hi[i, 0, 0] <= hi_n + 1e-9
+            assert lo_n - 1e-9 <= lo[i - 1, 0, 0] <= hi_n + 1e-9
+            assert lo_n - 1e-9 <= hi[i - 1, 0, 0] <= hi_n + 1e-9
 
 
 class TestHLLC:
@@ -206,8 +215,9 @@ class TestAMRConservation:
         assert grid.total("dens", weight=None) == pytest.approx(mass0, rel=1e-12)
         assert grid.total("ener") == pytest.approx(ener0, rel=1e-10)
 
-    def test_without_flux_matching_not_conserved(self):
+    def test_without_flux_matching_not_conserved(self, monkeypatch):
         """Control: switching the flux matching off breaks conservation."""
+        monkeypatch.setattr(sweep, "_match_fluxes", lambda *args: None)
         tree = AMRTree(ndim=2, nblockx=2, nblocky=2, max_level=2,
                        periodic=(True, True, False),
                        domain=((0, 1), (0, 1), (0, 1)))
@@ -227,11 +237,57 @@ class TestAMRConservation:
             grid.interior(b, "eint")[:] = eint
             grid.interior(b, "ener")[:] = eint + 0.5
         apply_eos(grid, eos)
-        hydro = HydroUnit(eos, cfl=0.4, conserve_fluxes=False)
+        hydro = HydroUnit(eos, cfl=0.4)
         mass0 = grid.total("dens", weight=None)
         for _ in range(5):
             hydro.step(grid, hydro.timestep(grid))
         assert abs(grid.total("dens", weight=None) - mass0) > 1e-13
+
+
+class TestMatchFluxes:
+    """The sweep's flux matching on a hand-made flux array: a coarse
+    block's face at a refinement jump takes the area average of the
+    touching fine faces, and nothing else changes."""
+
+    def _setup(self):
+        tree = AMRTree(ndim=2, nblockx=2, nblocky=2, max_level=2,
+                       periodic=(False, False, False),
+                       domain=((0, 1), (0, 1), (0, 1)))
+        spec = MeshSpec(ndim=2, nxb=8, nyb=8, nzb=1, nguard=4, maxblocks=64)
+        grid = Grid(tree, spec)
+        refine_block(grid, BlockId(0, 1, 0))
+        blocks = grid.leaf_blocks()
+        # (nkeys, faces along x, interior y, z, blocks), as the x-sweep
+        # fills it
+        shape = (2, 9, 8, 1, len(blocks))
+        return grid, blocks, shape
+
+    def test_matching_fluxes_no_correction(self):
+        """Where fine and coarse fluxes agree, matching changes nothing."""
+        grid, blocks, shape = self._setup()
+        flux = np.full(shape, 2.5)
+        sweep._match_fluxes(grid, blocks, flux, 0)
+        assert (flux == 2.5).all()
+
+    def test_coarse_face_takes_fine_average(self):
+        grid, blocks, shape = self._setup()
+        flux = np.random.default_rng(7).random(shape)
+        before = flux.copy()
+        sweep._match_fluxes(grid, blocks, flux, 0)
+        index_of = {b.bid: i for i, b in enumerate(blocks)}
+        coarse = index_of[BlockId(0, 0, 0)]
+        # the coarse block's high x face (face 8) abuts the two children
+        # of block (0, 1, 0); each child's low face (face 0) covers half
+        # of it, two fine zones per coarse zone
+        expected = before[:, 8, :, 0, coarse].copy()
+        for iy in (0, 1):
+            fine = before[:, 0, :, 0, index_of[BlockId(1, 2, iy)]]
+            expected[:, 4 * iy:4 * iy + 4] = fine.reshape(2, 4, 2).mean(-1)
+        np.testing.assert_array_equal(flux[:, 8, :, 0, coarse], expected)
+        # no other face moved
+        changed = flux != before
+        changed[:, 8, :, 0, coarse] = False
+        assert not changed.any()
 
 
 class TestHydroUnit:
